@@ -217,14 +217,21 @@ serve::ServeConfig batch_serve_config(const ParamView& p,
     throw sim::InvalidArgument("unknown serve model: " + model);
   }
   cfg.max_batch = p.get_i64("max-batch", cfg.max_batch);
+  GAUDI_CHECK(cfg.max_batch >= 1, "max-batch expects a positive count");
   cfg.prefill_chunk = p.get_i64("prefill-chunk", cfg.prefill_chunk);
+  GAUDI_CHECK(cfg.prefill_chunk >= 1,
+              "prefill-chunk expects a positive token count");
   cfg.ctx_bucket = p.get_i64("ctx-bucket", cfg.ctx_bucket);
+  GAUDI_CHECK(cfg.ctx_bucket >= 1, "ctx-bucket expects a positive token count");
   cfg.block_tokens = p.get_i64("block-tokens", cfg.block_tokens);
+  GAUDI_CHECK(cfg.block_tokens >= 1,
+              "block-tokens expects a positive token count");
   const std::int64_t kv_mb = p.get_i64("kv-mb", 64);
   GAUDI_CHECK(kv_mb >= 1, "kv-mb expects a positive MiB count");
   cfg.kv_budget_bytes = static_cast<std::size_t>(kv_mb) * 1024 * 1024;
-  cfg.step_cache_entries =
-      static_cast<std::size_t>(p.get_i64("cache-cap", 0));
+  const std::int64_t cache_cap = p.get_i64("cache-cap", 0);
+  GAUDI_CHECK(cache_cap >= 0, "cache-cap expects a non-negative count");
+  cfg.step_cache_entries = static_cast<std::size_t>(cache_cap);
   cfg.timing_only = timing_only;
   cfg.retry_max =
       static_cast<std::int32_t>(p.get_i64("retry-max", cfg.retry_max));

@@ -5,9 +5,16 @@
 // executor produces, for every node, the simulated duration the scheduler
 // places on the engine timeline — and, in functional mode, the output
 // tensors.
+//
+// In timing mode a node's result is a pure function of its structure (kind,
+// attrs, operand shapes and dtypes — the kernel contract in tpc/kernel.hpp)
+// on a fixed chip, so each executor memoizes it per node_fingerprint: a
+// structurally repeated node (a training step's same-shape bias gradients,
+// say) is costed once per executor, i.e. once per Runtime::run.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -46,29 +53,50 @@ struct NodeExec {
                                                 tpc::ExecMode mode,
                                                 bool poison);
 
+/// Not safe for concurrent run() calls: the timing-mode memo is unguarded.
 class NodeExecutor {
  public:
-  NodeExecutor(const sim::ChipConfig& cfg, sim::CounterRng rng)
+  /// `validate_memo` re-executes every timing-mode memo hit uncached and
+  /// asserts the cached result equals it (validated runs).
+  NodeExecutor(const sim::ChipConfig& cfg, sim::CounterRng rng,
+               bool validate_memo = false)
       : cfg_(cfg),
         cluster_(cfg.tpc, rng, cfg.memory.hbm_bandwidth_bytes_per_s),
-        mme_(cfg.mme) {}
+        mme_(cfg.mme),
+        validate_memo_(validate_memo) {}
 
   /// Executes node `n`.  `tensors` is indexed by ValueId; inputs must be
   /// present (real in functional mode, phantom in timing mode); outputs are
   /// created by this call.  `poison_outputs` pre-fills fresh functional
   /// outputs with the signaling-NaN pattern (guarded runs); kernels that
   /// legitimately accumulate into their own zeroed output (embedding grad)
-  /// are exempt.
+  /// are exempt.  In timing mode a node structurally equal to one this
+  /// executor already ran binds fresh phantom outputs and returns the
+  /// memoized result without launching its kernel.
   NodeExec run(const Graph& g, NodeId n, std::vector<tensor::Tensor>& tensors,
                tpc::ExecMode mode, bool poison_outputs = false) const;
 
   [[nodiscard]] const tpc::TpcCluster& cluster() const { return cluster_; }
   [[nodiscard]] const mme::MmeEngine& mme() const { return mme_; }
 
+  /// Timing-mode memo lookups answered from / added to the memo; both stay
+  /// zero in functional mode.
+  [[nodiscard]] std::uint64_t memo_hits() const { return memo_hits_; }
+  [[nodiscard]] std::uint64_t memo_misses() const { return memo_misses_; }
+
  private:
+  NodeExec execute(const Graph& g, NodeId n,
+                   std::vector<tensor::Tensor>& tensors, tpc::ExecMode mode,
+                   bool poison_outputs) const;
+
   sim::ChipConfig cfg_;
   tpc::TpcCluster cluster_;
   mme::MmeEngine mme_;
+  bool validate_memo_;
+  /// node_fingerprint -> the result its first timing-mode execution gave.
+  mutable std::unordered_map<std::uint64_t, NodeExec> memo_;
+  mutable std::uint64_t memo_hits_ = 0;
+  mutable std::uint64_t memo_misses_ = 0;
 };
 
 }  // namespace gaudi::graph

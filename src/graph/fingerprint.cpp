@@ -66,7 +66,27 @@ void ingest_attrs(Fingerprint& fp, const OpAttrs& a) {
   fp.boolean(a.requires_recompile);
 }
 
+void ingest_operands(Fingerprint& fp, const Graph& g,
+                     const std::vector<ValueId>& operands) {
+  fp.u64(operands.size());
+  for (ValueId v : operands) {
+    const ValueInfo& info = g.value(v);
+    ingest_shape(fp, info.shape);
+    fp.u8(static_cast<std::uint8_t>(info.dtype));
+  }
+}
+
 }  // namespace
+
+std::uint64_t node_fingerprint(const Graph& g, NodeId n) {
+  const Node& node = g.node(n);
+  Fingerprint fp;
+  fp.u8(static_cast<std::uint8_t>(node.kind));
+  ingest_attrs(fp, node.attrs);
+  ingest_operands(fp, g, node.inputs);
+  ingest_operands(fp, g, node.outputs);
+  return fp.digest();
+}
 
 std::uint64_t chip_fingerprint(const sim::ChipConfig& cfg) {
   Fingerprint fp;
@@ -113,8 +133,7 @@ std::uint64_t compile_fingerprint(const Graph& g, const sim::ChipConfig& cfg,
   fp.u64(g.num_nodes());
   for (NodeId n = 0; n < static_cast<NodeId>(g.num_nodes()); ++n) {
     const Node& node = g.node(n);
-    fp.u8(static_cast<std::uint8_t>(node.kind));
-    ingest_attrs(fp, node.attrs);
+    fp.u64(node_fingerprint(g, n));
     fp.str(node.label);
     fp.u64(node.inputs.size());
     for (ValueId v : node.inputs) fp.i64(v);

@@ -8,17 +8,21 @@
 // compile options.  Two CompiledGraphs with equal fingerprints schedule
 // identically in timing mode; the digest is stored on the artifact by the
 // compiler's `fingerprint` pass and surfaced through CompileStats.
+//
+// One node's share of that digest — its structure alone — is also the key
+// of NodeExecutor's per-run timing-mode memo (graph/executor.hpp), so a new
+// OpAttrs field is hashed in one place for both.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
+#include "graph/graph.hpp"
 #include "sim/chip_config.hpp"
 
 namespace gaudi::graph {
 
-class Graph;
 struct CompileOptions;
 
 /// Incremental FNV-1a (64-bit) accumulator.  Every ingest method folds a
@@ -44,6 +48,13 @@ class Fingerprint {
 
 /// Digest of every timing-relevant chip parameter.
 [[nodiscard]] std::uint64_t chip_fingerprint(const sim::ChipConfig& cfg);
+
+/// Digest of node `n`'s structure: its kind, every OpAttrs field, and the
+/// shape and dtype of every input and output, in operand order.  Labels and
+/// value ids are left out, so structurally equal nodes anywhere in any graph
+/// digest equally — by the kernel contract (tpc/kernel.hpp) they cost the
+/// same on a given chip.
+[[nodiscard]] std::uint64_t node_fingerprint(const Graph& g, NodeId n);
 
 /// Digest of the full compilation input: graph structure, chip config, and
 /// compile options.  This is what CompiledGraph::fingerprint stores.

@@ -45,6 +45,8 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
       ProfileResult replay = *cached;
       replay.memo_hit = true;
       replay.memo_hits = memo.hits();
+      replay.exec_memo_hits = 0;
+      replay.exec_memo_misses = 0;
       return replay;
     }
     RunOptions first = opts;
@@ -115,7 +117,8 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     }
   }
 
-  NodeExecutor executor(cg.config, sim::CounterRng{opts.seed});
+  const bool validate = opts.validate || validation_requested_from_env();
+  NodeExecutor executor(cg.config, sim::CounterRng{opts.seed}, validate);
   std::vector<NodeExec> execs(g.num_nodes());
 
   auto is_internal = [&](ValueId v) {
@@ -452,7 +455,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   result.sdc_injections = std::move(sdc_injections);
   result.numerics = total_stats;
   result.trace = schedule(cg, execs, opts.policy, faults);
-  if (opts.validate || validation_requested_from_env()) {
+  if (validate) {
     validate_or_throw(g, execs, result.trace, opts.policy, cg.config);
     std::vector<Violation> violations = validate_memory_plan(cg);
     if (opts.account_memory && hbm.peak() != cg.stats.peak_bytes) {
@@ -470,6 +473,8 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   result.hbm_peak_bytes = cg.stats.peak_bytes;
   result.hbm_capacity_bytes = hbm.capacity();
   result.node_execs = std::move(execs);
+  result.exec_memo_hits = executor.memo_hits();
+  result.exec_memo_misses = executor.memo_misses();
   for (ValueId v = 0; v < static_cast<ValueId>(g.num_values()); ++v) {
     if (g.value(v).is_output) {
       result.outputs.emplace(v, tensors[static_cast<std::size_t>(v)]);

@@ -141,6 +141,12 @@ struct ProfileResult {
   /// Process-wide TimingMemo hit count observed when this run returned —
   /// the counter that proves repeated decode steps are table lookups.
   std::uint64_t memo_hits = 0;
+  /// This run's NodeExecutor memo (graph/executor.hpp): timing-mode nodes
+  /// answered from an earlier structurally equal node / costed afresh.
+  /// Zero in functional mode and on TimingMemo replays, which execute no
+  /// node.
+  std::uint64_t exec_memo_hits = 0;
+  std::uint64_t exec_memo_misses = 0;
 };
 
 class Runtime {

@@ -56,6 +56,12 @@ class Kernel {
   /// Executes one index-space member.  Must be safe to call concurrently for
   /// distinct members (members write disjoint output regions) and must have
   /// data-independent control flow (required for phantom-mode timing).
+  ///
+  /// A kernel launched for a graph node may let its cost (cycles, bytes,
+  /// FLOPs) depend only on that node's kind, attrs, operand shapes and
+  /// dtypes, never on data, labels or launch order: graph::NodeExecutor
+  /// costs each such structure once per run and reuses the result
+  /// (graph/executor.hpp; validated runs re-execute and compare).
   virtual void execute(KernelContext& ctx, const Member& m) const = 0;
 
   /// FLOPs performed by the whole kernel (for throughput reporting).

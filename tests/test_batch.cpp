@@ -168,5 +168,37 @@ end
   EXPECT_THROW((void)run_batch(cfg), sim::InvalidArgument);
 }
 
+// A non-positive size or a negative cache cap fails with the serve CLI's
+// named error instead of running (cache-cap -1 used to wrap to an unbounded
+// step cache, block-tokens -4 to an 18446744073709551104-byte block).
+TEST(BatchRun, RejectsOutOfRangeSchedulerKeysByName) {
+  const struct {
+    const char* key;
+    const char* value;
+    const char* message;
+  } cases[] = {
+      {"cache-cap", "-1", "cache-cap expects a non-negative count"},
+      {"max-batch", "0", "max-batch expects a positive count"},
+      {"prefill-chunk", "0", "prefill-chunk expects a positive token count"},
+      {"ctx-bucket", "-2", "ctx-bucket expects a positive token count"},
+      {"block-tokens", "-4", "block-tokens expects a positive token count"},
+  };
+  for (const char* command : {"serve", "serve-cluster"}) {
+    for (const auto& c : cases) {
+      const BatchConfig cfg = parse(std::string("experiment bad\n  command ") +
+                                    command + "\n  set model tiny\n  set " +
+                                    c.key + " " + c.value + "\nend\n");
+      try {
+        (void)run_batch(cfg);
+        ADD_FAILURE() << command << " " << c.key << " " << c.value
+                      << " was accepted";
+      } catch (const sim::InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gaudi::core
