@@ -94,8 +94,12 @@ void ThreadPool::parallel_for_chunks(
             first_error = std::current_exception();
           }
         }
+        // Count down under done_mutex: the waiter can then only see zero
+        // after this task has released the mutex, so it never destroys
+        // done_mutex/done_cv (locals of the waiting frame) while a worker
+        // is still about to lock or notify them.
+        std::lock_guard dlock(done_mutex);
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard dlock(done_mutex);
           done_cv.notify_all();
         }
       });

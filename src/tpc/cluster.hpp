@@ -7,8 +7,11 @@
 //    exact and outputs are valid.  Host threads parallelize across cores.
 //  * kTiming — a small deterministic sample of members per core executes
 //    with phantom memory; per-member cycles are extrapolated to the full
-//    space.  Outputs are not produced.  This is how paper-scale shapes
-//    (3.2-G-element attention matrices) are timed.
+//    space.  Inside a member, KernelContext::uniform_loop runs only the
+//    first and last iteration of each uniform loop and charges the rest by
+//    rate, so a member walking 16384 rows costs two.  Outputs are not
+//    produced.  This is how paper-scale shapes (3.2-G-element attention
+//    matrices) are timed.
 #pragma once
 
 #include <cstdint>

@@ -56,6 +56,10 @@ class Kernel {
   /// Executes one index-space member.  Must be safe to call concurrently for
   /// distinct members (members write disjoint output regions) and must have
   /// data-independent control flow (required for phantom-mode timing).
+  /// Long loops whose per-iteration charges do not depend on the index go
+  /// through KernelContext::uniform_loop, which phantom contexts charge by
+  /// rate from the first and last iteration; tails that charge differently
+  /// run outside it.
   ///
   /// A kernel launched for a graph node may let its cost (cycles, bytes,
   /// FLOPs) depend only on that node's kind, attrs, operand shapes and

@@ -276,6 +276,37 @@ class KernelContext {
   /// Loop bookkeeping (address arithmetic, comparisons) rides the SPU slot.
   void s_bookkeeping(std::uint64_t n = 1) { charge(Slot::kSpu, n * costs_.alu); }
 
+  // -- Uniform loops -----------------------------------------------------------
+
+  /// Runs `body(i)` for i in [0, n): a loop whose per-iteration charges do
+  /// not depend on `i` (tail lanes charge as full vectors, so a lane-tail
+  /// last iteration qualifies; a partial tail *block* does not and goes
+  /// after the loop).  A functional context runs every iteration.  A phantom
+  /// context runs the first and the last, asserts they charged the same
+  /// slot cycles and global bytes, and charges the other n - 2 at that rate:
+  /// the same totals as issuing all n, without re-issuing them.
+  template <typename Body>
+  void uniform_loop(std::int64_t n, Body&& body) {
+    if (!phantom_ || n <= 2) {
+      for (std::int64_t i = 0; i < n; ++i) body(i);
+      return;
+    }
+    const SlotCycles c0 = cycles_;
+    const std::uint64_t b0 = global_bytes_;
+    body(std::int64_t{0});
+    const SlotCycles first = cycles_.since(c0);
+    const std::uint64_t first_bytes = global_bytes_ - b0;
+    const SlotCycles c1 = cycles_;
+    const std::uint64_t b1 = global_bytes_;
+    body(n - 1);
+    GAUDI_ASSERT(cycles_.since(c1) == first && global_bytes_ - b1 == first_bytes,
+                 "uniform_loop: first and last iterations charged different "
+                 "costs; the loop is not uniform");
+    const auto rest = static_cast<std::uint64_t>(n - 2);
+    cycles_ += first.times(rest);
+    global_bytes_ += first_bytes * rest;
+  }
+
  private:
   template <typename F>
   VecF alu1(const VecF& a, F f) {

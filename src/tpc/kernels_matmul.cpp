@@ -65,23 +65,20 @@ void BatchedMatMulTpcKernel::execute(KernelContext& ctx, const Member& m) const 
   VecF acc[kRowTile];
   for (std::int64_t i = 0; i < rows; ++i) acc[i] = ctx.v_mov(0.0f);
 
-  for (std::int64_t k0 = 0; k0 < k_; k0 += kKBlock) {
-    const std::int64_t kb = std::min<std::int64_t>(kKBlock, k_ - k0);
-
-    // Stage B[k0:k0+kb, j0:j0+cols] into local memory, one row per vector.
-    for (std::int64_t kk = 0; kk < kb; ++kk) {
+  // One k-block: stage B[k0:k0+kb, j0:j0+cols] (one row per vector) and
+  // A[i0:i0+rows, k0:k0+kb] (one vector per row chunk) in local memory, then
+  // FMA.  For each k one B vector feeds FMAs for all staged rows; A scalars
+  // are fetched in pairs so the Load slot keeps up with the VPU.
+  auto k_block = [&](std::int64_t k0, std::int64_t kb) {
+    ctx.uniform_loop(kb, [&](std::int64_t kk) {
       VecF vb = ctx.v_ld_g(b, b_base + (k0 + kk) * n_ + j0, cols);
       ctx.v_st_l(kBSlot + kk, vb);
-    }
-    // Stage A[i0:i0+rows, k0:k0+kb] — one vector per row chunk.
+    });
     for (std::int64_t i = 0; i < rows; ++i) {
       VecF va = ctx.v_ld_g(a, a_base + (i0 + i) * k_ + k0, static_cast<int>(kb));
       ctx.v_st_l(kASlot + i, va);
     }
-
-    // Inner loop: for each k, one B vector feeds FMAs for all staged rows;
-    // A scalars are fetched in pairs so the Load slot keeps up with the VPU.
-    for (std::int64_t kk = 0; kk < kb; ++kk) {
+    ctx.uniform_loop(kb, [&](std::int64_t kk) {
       const VecF vb = ctx.v_ld_l(kBSlot + kk);
       std::int64_t i = 0;
       for (; i + 1 < rows; i += 2) {
@@ -94,8 +91,13 @@ void BatchedMatMulTpcKernel::execute(KernelContext& ctx, const Member& m) const 
         const float a0 = ctx.s_ld_l(kASlot + i, static_cast<int>(kk));
         acc[i] = ctx.v_madd_s(a0, vb, acc[i]);
       }
-    }
-  }
+    });
+  };
+  // Full k-blocks charge alike; the partial tail block runs once after them.
+  const std::int64_t full_blocks = k_ / kKBlock;
+  ctx.uniform_loop(full_blocks,
+                   [&](std::int64_t blk) { k_block(blk * kKBlock, kKBlock); });
+  if (k_ % kKBlock != 0) k_block(full_blocks * kKBlock, k_ % kKBlock);
 
   for (std::int64_t i = 0; i < rows; ++i) {
     ctx.v_st_g(c, c_base + (i0 + i) * n_ + j0, acc[i], cols);

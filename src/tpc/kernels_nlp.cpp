@@ -61,13 +61,13 @@ void EmbeddingGradKernel::execute(KernelContext& ctx, const Member& m) const {
   auto dtable = rw(dtable_);
   const std::int64_t j = m.linear * kLanes;
   const int count = static_cast<int>(std::min<std::int64_t>(kLanes, dim_ - j));
-  for (std::int64_t t = 0; t < tokens_; ++t) {
+  ctx.uniform_loop(tokens_, [&](std::int64_t t) {
     const std::int32_t id = ctx.i_ld_g(ids, t);
     const std::int64_t row = static_cast<std::int64_t>(id) * dim_;
     VecF acc = ctx.v_ld_g(dtable, row + j, count);
     VecF g = ctx.v_ld_g(dy, t * dim_ + j, count);
     ctx.v_st_g(dtable, row + j, ctx.v_add(acc, g), count);
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -92,13 +92,15 @@ void CrossEntropyKernel::execute(KernelContext& ctx, const Member& m) const {
   const auto targets = ro_i32(targets_);
   auto loss = rw(loss_);
   const std::int64_t base = m.linear * vocab_;
+  const std::int64_t vectors = (vocab_ + kLanes - 1) / kLanes;
   const float neg_inf = -std::numeric_limits<float>::infinity();
 
   VecF vmax = ctx.v_mov(neg_inf);
-  for (std::int64_t off = 0; off < vocab_; off += kLanes) {
+  ctx.uniform_loop(vectors, [&](std::int64_t v) {
+    const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     vmax = ctx.v_max(vmax, ctx.v_ld_g(logits, base + off, count, neg_inf));
-  }
+  });
   const float mx = ctx.v_reduce_max(vmax);
   // A fully-masked row (every logit -inf) assigns the target probability
   // zero: the defined loss is +inf, not the NaN the generic path's
@@ -110,11 +112,12 @@ void CrossEntropyKernel::execute(KernelContext& ctx, const Member& m) const {
   const float safe_mx = masked ? 0.0f : mx;
 
   VecF vsum = ctx.v_mov(0.0f);
-  for (std::int64_t off = 0; off < vocab_; off += kLanes) {
+  ctx.uniform_loop(vectors, [&](std::int64_t v) {
+    const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     VecF x = ctx.v_ld_g(logits, base + off, count, neg_inf);
     vsum = ctx.v_add(vsum, ctx.v_exp(ctx.v_add_s(x, -safe_mx)));
-  }
+  });
   const float lse = ctx.s_add(std::log(ctx.v_reduce_add(vsum)), safe_mx);
   ctx.s_bookkeeping();  // the scalar log rides the SPU special path
 
@@ -152,13 +155,15 @@ void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const 
   const auto targets = ro_i32(targets_);
   auto dlogits = rw(dlogits_);
   const std::int64_t base = m.linear * vocab_;
+  const std::int64_t vectors = (vocab_ + kLanes - 1) / kLanes;
   const float neg_inf = -std::numeric_limits<float>::infinity();
 
   VecF vmax = ctx.v_mov(neg_inf);
-  for (std::int64_t off = 0; off < vocab_; off += kLanes) {
+  ctx.uniform_loop(vectors, [&](std::int64_t v) {
+    const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     vmax = ctx.v_max(vmax, ctx.v_ld_g(logits, base + off, count, neg_inf));
-  }
+  });
   const float mx = ctx.v_reduce_max(vmax);
   // Fully-masked row: the softmax (and so its gradient) is undefined; the
   // defined choice is a zero gradient row rather than NaN contamination.
@@ -170,16 +175,18 @@ void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const 
   const float safe_mx = masked ? 0.0f : mx;
 
   VecF vsum = ctx.v_mov(0.0f);
-  for (std::int64_t off = 0; off < vocab_; off += kLanes) {
+  ctx.uniform_loop(vectors, [&](std::int64_t v) {
+    const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     VecF x = ctx.v_ld_g(logits, base + off, count, neg_inf);
     vsum = ctx.v_add(vsum, ctx.v_exp(ctx.v_add_s(x, -safe_mx)));
-  }
+  });
   const float inv_sum = ctx.s_recip(std::max(
       ctx.v_reduce_add(vsum), std::numeric_limits<float>::min()));
 
   const std::int32_t tgt = ctx.i_ld_g(targets, m.linear);
-  for (std::int64_t off = 0; off < vocab_; off += kLanes) {
+  ctx.uniform_loop(vectors, [&](std::int64_t v) {
+    const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     VecF x = ctx.v_ld_g(logits, base + off, count, neg_inf);
     VecF p = ctx.v_mul_s(ctx.v_exp(ctx.v_add_s(x, -safe_mx)), inv_sum);
@@ -191,7 +198,7 @@ void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const 
     }
     ctx.s_bookkeeping();  // one-hot lane adjustment
     ctx.v_st_g(dlogits, base + off, ctx.v_mul_s(p, scale_), count);
-  }
+  });
 }
 
 std::uint64_t CrossEntropyGradKernel::flop_count() const {

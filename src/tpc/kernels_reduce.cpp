@@ -321,7 +321,7 @@ void LayerNormParamGradKernel::execute(KernelContext& ctx, const Member& m) cons
 
   VecF vg = ctx.v_mov(0.0f);
   VecF vbta = ctx.v_mov(0.0f);
-  for (std::int64_t r = 0; r < rows_; ++r) {
+  ctx.uniform_loop(rows_, [&](std::int64_t r) {
     const float mu = ctx.s_ld_g(mean, r);
     const float rs = ctx.s_ld_g(rstd, r);
     VecF vdy = ctx.v_ld_g(dy, r * row_len_ + off, count);
@@ -329,7 +329,7 @@ void LayerNormParamGradKernel::execute(KernelContext& ctx, const Member& m) cons
     VecF xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
     vg = ctx.v_madd(vdy, xhat, vg);
     vbta = ctx.v_add(vbta, vdy);
-  }
+  });
   ctx.v_st_g(dgamma, off, vg, count);
   ctx.v_st_g(dbeta, off, vbta, count);
 }
@@ -439,9 +439,9 @@ void ColumnSumKernel::execute(KernelContext& ctx, const Member& m) const {
   const std::int64_t off = m.linear * kLanes;
   const int count = static_cast<int>(std::min<std::int64_t>(kLanes, cols_ - off));
   VecF acc = ctx.v_mov(0.0f);
-  for (std::int64_t r = 0; r < rows_; ++r) {
+  ctx.uniform_loop(rows_, [&](std::int64_t r) {
     acc = ctx.v_add(acc, ctx.v_ld_g(in, r * cols_ + off, count));
-  }
+  });
   ctx.v_st_g(out, off, acc, count);
 }
 
@@ -636,17 +636,12 @@ void TransposeLast2Kernel::execute(KernelContext& ctx, const Member& m) const {
     VecF v = ctx.v_ld_g(in, in_base + (i0 + i) * n_ + j0, static_cast<int>(cols));
     ctx.v_st_l(i, v);
   }
-  // In-register transpose network: log2(64) shuffle stages per output vector.
-  // We charge the shuffles and materialize columns from local memory.
+  // Gather each output column from the staged tile with scalar local reads
+  // (phantom contexts allocate the same tile, so both modes run this).
   for (std::int64_t j = 0; j < cols; ++j) {
     VecF col{};
-    if (!ctx.phantom() && !in.empty()) {
-      for (std::int64_t i = 0; i < rows; ++i) {
-        col.lane[static_cast<std::size_t>(i)] = ctx.s_ld_l(i, static_cast<int>(j));
-      }
-    } else {
-      // Timing mode: charge equivalent local traffic for the gather.
-      for (std::int64_t i = 0; i < rows; ++i) ctx.s_ld_l(0, 0);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      col.lane[static_cast<std::size_t>(i)] = ctx.s_ld_l(i, static_cast<int>(j));
     }
     ctx.v_st_g(out, out_base + (j0 + j) * m_ + i0, col, static_cast<int>(rows));
   }

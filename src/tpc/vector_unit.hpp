@@ -57,6 +57,15 @@ struct SlotCycles {
     store += o.store;
     return *this;
   }
+  /// Cycles issued since `before` (an earlier reading of the same counters).
+  [[nodiscard]] SlotCycles since(const SlotCycles& before) const {
+    return {load - before.load, spu - before.spu, vpu - before.vpu,
+            store - before.store};
+  }
+  [[nodiscard]] SlotCycles times(std::uint64_t k) const {
+    return {load * k, spu * k, vpu * k, store * k};
+  }
+  bool operator==(const SlotCycles&) const = default;
 };
 
 /// Instruction cost table (cycles).  Simple ALU ops are single-issue; the

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "sim/chip_config.hpp"
 #include "tensor/ops.hpp"
@@ -785,6 +788,240 @@ TEST(KernelEdgeCases, CrossEntropyFullyMaskedRow) {
   for (std::int64_t j = 0; j < vocab; ++j) {
     EXPECT_TRUE(std::isfinite(dlogits.f32()[j])) << "row 0 column " << j;
     EXPECT_EQ(dlogits.f32()[vocab + j], 0.0f) << "masked row, column " << j;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Uniform loops: KernelContext::uniform_loop and the kernels that use it
+// ---------------------------------------------------------------------------
+
+TEST(UniformLoop, FunctionalContextRunsEveryIteration) {
+  const sim::TpcConfig cfg = tpc_cfg();
+  KernelContext ctx(cfg, 0, /*phantom=*/false, 0, sim::CounterRng{1});
+  for (const std::int64_t n : {0, 1, 2, 3, 17}) {
+    std::vector<std::int64_t> seen;
+    ctx.uniform_loop(n, [&](std::int64_t i) { seen.push_back(i); });
+    ASSERT_EQ(static_cast<std::int64_t>(seen.size()), n);
+    for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(UniformLoop, PhantomContextRunsFirstAndLastOnly) {
+  const sim::TpcConfig cfg = tpc_cfg();
+  KernelContext ctx(cfg, 0, /*phantom=*/true, 0, sim::CounterRng{1});
+  const auto seen_for = [&](std::int64_t n) {
+    std::vector<std::int64_t> seen;
+    ctx.uniform_loop(n, [&](std::int64_t i) { seen.push_back(i); });
+    return seen;
+  };
+  EXPECT_TRUE(seen_for(0).empty());
+  EXPECT_EQ(seen_for(1), (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(seen_for(2), (std::vector<std::int64_t>{0, 1}));
+  EXPECT_EQ(seen_for(3), (std::vector<std::int64_t>{0, 2}));
+  EXPECT_EQ(seen_for(16384), (std::vector<std::int64_t>{0, 16383}));
+}
+
+TEST(UniformLoop, PhantomChargesWhatFunctionalIssues) {
+  const sim::TpcConfig cfg = tpc_cfg();
+  const std::vector<float> data(1000 * kLanes, 1.0f);
+  for (const std::int64_t n : {0, 1, 2, 3, 1000}) {
+    KernelContext functional(cfg, 0, /*phantom=*/false, 0, sim::CounterRng{1});
+    KernelContext phantom(cfg, 0, /*phantom=*/true, 0, sim::CounterRng{1});
+    for (KernelContext* ctx : {&functional, &phantom}) {
+      VecF acc = ctx->v_mov(0.0f);
+      ctx->uniform_loop(n, [&](std::int64_t i) {
+        acc = ctx->v_add(acc, ctx->v_exp(ctx->v_ld_g(data, i * kLanes)));
+        ctx->s_bookkeeping();
+      });
+    }
+    EXPECT_EQ(functional.cycles(), phantom.cycles()) << "n = " << n;
+    EXPECT_EQ(functional.global_bytes(), phantom.global_bytes()) << "n = " << n;
+  }
+}
+
+TEST(UniformLoop, NonUniformBodyThrows) {
+  const sim::TpcConfig cfg = tpc_cfg();
+  KernelContext ctx(cfg, 0, /*phantom=*/true, 0, sim::CounterRng{1});
+  const std::int64_t n = 5;
+  EXPECT_THROW(ctx.uniform_loop(n,
+                                [&](std::int64_t i) {
+                                  ctx.s_bookkeeping();
+                                  if (i == n - 1) ctx.s_bookkeeping();
+                                }),
+               sim::InternalError);
+}
+
+// Timing mode (phantom tensors, sampled members, uniform loops charged by
+// rate) must report exactly what functional mode issues.  The shapes have
+// lane tails (130 columns, a 1000-entry vocabulary), loops long enough to be
+// extrapolated, and where the index space allows, more than three members
+// per core so the cluster samples too.
+template <typename MakeKernel>
+void expect_modes_agree(const std::string& what, MakeKernel make) {
+  const TpcCluster c = make_cluster();
+  const RunResult functional = c.run(make(false), ExecMode::kFunctional);
+  const RunResult timing = c.run(make(true), ExecMode::kTiming);
+  EXPECT_EQ(functional.cycles, timing.cycles) << what;
+  EXPECT_EQ(functional.slot_totals, timing.slot_totals) << what;
+  EXPECT_EQ(functional.global_bytes, timing.global_bytes) << what;
+  EXPECT_EQ(functional.memory_bound, timing.memory_bound) << what;
+}
+
+Tensor data_or_phantom(bool phantom, Shape shape, std::uint64_t stream) {
+  return phantom ? Tensor::phantom(std::move(shape)) : rand_tensor(std::move(shape), stream);
+}
+
+Tensor tokens_or_phantom(bool phantom, Shape shape, std::int64_t vocab) {
+  return phantom ? Tensor::phantom(std::move(shape), DType::I32)
+                 : Tensor::random_tokens(std::move(shape), sim::CounterRng{21}, vocab);
+}
+
+TEST(UniformLoop, TimingModeAgreesWithFunctional) {
+  for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{50, 130},
+                                   {40, 1730}}) {
+    const std::string shape = std::to_string(rows) + "x" + std::to_string(cols);
+    expect_modes_agree("column_sum " + shape, [&](bool p) {
+      return ColumnSumKernel(data_or_phantom(p, Shape{{rows, cols}}, 70),
+                             data_or_phantom(p, Shape{{cols}}, 71));
+    });
+    expect_modes_agree("layernorm_dparam " + shape, [&](bool p) {
+      return LayerNormParamGradKernel(
+          data_or_phantom(p, Shape{{rows, cols}}, 72), data_or_phantom(p, Shape{{rows}}, 73),
+          data_or_phantom(p, Shape{{rows}}, 74), data_or_phantom(p, Shape{{rows, cols}}, 75),
+          data_or_phantom(p, Shape{{cols}}, 76), data_or_phantom(p, Shape{{cols}}, 77));
+    });
+    expect_modes_agree("embedding_grad " + shape, [&](bool p) {
+      return EmbeddingGradKernel(tokens_or_phantom(p, Shape{{rows}}, 20),
+                                 data_or_phantom(p, Shape{{rows, cols}}, 78),
+                                 p ? Tensor::phantom(Shape{{20, cols}})
+                                   : Tensor::zeros(Shape{{20, cols}}));
+    });
+  }
+
+  const std::int64_t rows = 40, vocab = 1000;
+  expect_modes_agree("cross_entropy 40x1000", [&](bool p) {
+    return CrossEntropyKernel(data_or_phantom(p, Shape{{rows, vocab}}, 79),
+                              tokens_or_phantom(p, Shape{{rows}}, vocab),
+                              data_or_phantom(p, Shape{{rows}}, 80));
+  });
+  expect_modes_agree("cross_entropy_grad 40x1000", [&](bool p) {
+    return CrossEntropyGradKernel(data_or_phantom(p, Shape{{rows, vocab}}, 81),
+                                  tokens_or_phantom(p, Shape{{rows}}, vocab),
+                                  data_or_phantom(p, Shape{{rows, vocab}}, 82), 0.5f);
+  });
+
+  // k = 200 leaves a partial tail k-block after three full ones; k = 128 has
+  // none.  m is a whole number of row tiles so members stay uniform.
+  for (const std::int64_t k : {200, 128}) {
+    expect_modes_agree("tpc matmul 8x64x" + std::to_string(k) + "x130", [&](bool p) {
+      return BatchedMatMulTpcKernel(data_or_phantom(p, Shape{{8, 64, k}}, 83),
+                                    data_or_phantom(p, Shape{{8, k, 130}}, 84),
+                                    data_or_phantom(p, Shape{{8, 64, 130}}, 85));
+    });
+  }
+
+  // The transpose gather runs the same scalar local reads in both modes.
+  expect_modes_agree("transpose 7x128x192", [&](bool p) {
+    return TransposeLast2Kernel(data_or_phantom(p, Shape{{7, 128, 192}}, 86),
+                                data_or_phantom(p, Shape{{7, 192, 128}}, 87));
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Golden cost pins
+// ---------------------------------------------------------------------------
+
+// Timing-mode costs of the loop-heavy kernels at the shapes the GPT-2 paper
+// configuration builds (B*S = 16384 tokens, d = 512, ffn 2048, vocabulary
+// 50257; BERT's 30522 adds a lane tail) and of the Table 2 TPC GEMM rows,
+// plus the transpose tile kernel in both modes.  Recorded from the kernels
+// as they stood before their long loops went through
+// KernelContext::uniform_loop, when phantom contexts issued every
+// iteration: an absolute oracle, not a second run of the same code.
+struct CostPin {
+  const char* what;
+  std::function<RunResult()> run;
+  sim::Cycles cycles;
+  std::uint64_t global_bytes;
+};
+
+Tensor ph(Shape shape, DType dtype = DType::F32) {
+  return Tensor::phantom(std::move(shape), dtype);
+}
+
+TEST(TpcCostPins, MatchCostsRecordedBeforeUniformLoops) {
+  const TpcCluster c = make_cluster();
+  const auto timed = [&c](auto make) {
+    return [&c, make] { return c.run(make(), ExecMode::kTiming); };
+  };
+  const auto matmul = [&](std::int64_t s) {
+    return timed([s] {
+      return BatchedMatMulTpcKernel(ph(Shape{{64, s, s}}), ph(Shape{{64, s, s}}),
+                                    ph(Shape{{64, s, s}}));
+    });
+  };
+  const auto column_sum = [&](std::int64_t rows, std::int64_t cols) {
+    return timed([rows, cols] {
+      return ColumnSumKernel(ph(Shape{{rows, cols}}), ph(Shape{{cols}}));
+    });
+  };
+  const auto cross_entropy = [&](std::int64_t vocab) {
+    return timed([vocab] {
+      return CrossEntropyKernel(ph(Shape{{16384, vocab}}), ph(Shape{{16384}}, DType::I32),
+                                ph(Shape{{1, 16384}}));
+    });
+  };
+  const auto cross_entropy_grad = [&](std::int64_t vocab) {
+    return timed([vocab] {
+      return CrossEntropyGradKernel(ph(Shape{{16384, vocab}}),
+                                    ph(Shape{{16384}}, DType::I32),
+                                    ph(Shape{{16384, vocab}}), 1.0f / 16384);
+    });
+  };
+  const auto transpose_functional = [&](std::int64_t m, std::int64_t n) {
+    return [&c, m, n] {
+      const Tensor x = rand_tensor(Shape{{3, m, n}}, 45 + m);
+      return c.run(TransposeLast2Kernel(x, Tensor::zeros(Shape{{3, n, m}})),
+                   ExecMode::kFunctional);
+    };
+  };
+
+  const CostPin pins[] = {
+      {"column_sum 16384x512", column_sum(16384, 512), 115536, 33556480},
+      {"column_sum 16384x2048", column_sum(16384, 2048), 312144, 134225920},
+      {"column_sum 8x1048576", column_sum(8, 1048576), 115536, 37748736},
+      {"column_sum 16384x30522", column_sum(16384, 30522), 3982160, 2000805120},
+      {"layernorm_dparam 16384x512", timed([] {
+         return LayerNormParamGradKernel(ph(Shape{{16384, 512}}), ph(Shape{{16384}}),
+                                         ph(Shape{{16384}}), ph(Shape{{16384, 512}}),
+                                         ph(Shape{{512}}), ph(Shape{{512}}));
+       }),
+       312144, 68161536},
+      {"embedding_grad 16384 tokens, 50257x512", timed([] {
+         return EmbeddingGradKernel(ph(Shape{{16384}}, DType::I32),
+                                    ph(Shape{{16384, 512}}), ph(Shape{{50257, 512}}));
+       }),
+       246608, 101187584},
+      {"cross_entropy 16384x50257", cross_entropy(50257), 30688080, 6593642496},
+      {"cross_entropy 16384x30522", cross_entropy(30522), 18664272, 4001562624},
+      {"cross_entropy_grad 16384x50257", cross_entropy_grad(50257), 61272912, 13186957312},
+      {"cross_entropy_grad 16384x30522", cross_entropy_grad(30522), 37225296, 8002797568},
+      {"table2 tpc matmul 64x128^3", matmul(128), 314192, 29360128},
+      {"table2 tpc matmul 64x256^3", matmul(256), 2155344, 218103808},
+      {"table2 tpc matmul 64x512^3", matmul(512), 16859984, 1677721600},
+      {"table2 tpc matmul 64x1024^3", matmul(1024), 134398800, 13153337344},
+      {"table2 tpc matmul 64x2048^3", matmul(2048), 1074316112, 104152956928},
+      {"transpose 8x2048x512", timed([] {
+         return TransposeLast2Kernel(ph(Shape{{8, 2048, 512}}), ph(Shape{{8, 512, 2048}}));
+       }),
+       1164112, 67108864},
+      {"transpose functional 3x65x63", transpose_functional(65, 63), 54288, 146688},
+      {"transpose functional 3x7x200", transpose_functional(7, 200), 50952, 175104},
+  };
+  for (const CostPin& pin : pins) {
+    const RunResult r = pin.run();
+    EXPECT_EQ(r.cycles, pin.cycles) << pin.what;
+    EXPECT_EQ(r.global_bytes, pin.global_bytes) << pin.what;
   }
 }
 
