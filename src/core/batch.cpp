@@ -229,9 +229,6 @@ serve::ServeConfig batch_serve_config(const ParamView& p,
   const std::int64_t kv_mb = p.get_i64("kv-mb", 64);
   GAUDI_CHECK(kv_mb >= 1, "kv-mb expects a positive MiB count");
   cfg.kv_budget_bytes = static_cast<std::size_t>(kv_mb) * 1024 * 1024;
-  const std::int64_t cache_cap = p.get_i64("cache-cap", 0);
-  GAUDI_CHECK(cache_cap >= 0, "cache-cap expects a non-negative count");
-  cfg.step_cache_entries = static_cast<std::size_t>(cache_cap);
   cfg.timing_only = timing_only;
   cfg.retry_max =
       static_cast<std::int32_t>(p.get_i64("retry-max", cfg.retry_max));

@@ -104,7 +104,6 @@ commands:
       --ctx-bucket N             context-length bucket for compiled steps (64)
       --block-tokens N           KV block size in tokens      (64)
       --kv-mb N                  KV pool budget in MiB        (64)
-      --cache-cap N              LRU cap on compiled decode steps; 0 = all
       --seed N                   workload seed                (0x5E21E)
       --faults                   inject chip failures / stalls / stragglers
       --fault-seed N             fault schedule seed          (0xFA517)
@@ -615,9 +614,6 @@ serve::ServeConfig parse_serve_scheduler_flags(ArgParser& args,
   GAUDI_CHECK(kv_mb >= 1, "--kv-mb expects a positive MiB count");
   cfg.kv_budget_bytes = static_cast<std::size_t>(kv_mb) * 1024 * 1024;
   *kv_mb_out = kv_mb;
-  const std::int64_t cache_cap = args.get_int("cache-cap", 0);
-  GAUDI_CHECK(cache_cap >= 0, "--cache-cap expects a non-negative count");
-  cfg.step_cache_entries = static_cast<std::size_t>(cache_cap);
   cfg.timing_only = parse_timing_only(args);
 
   cfg.retry_max =

@@ -12,9 +12,10 @@
 // traffic, no re-scheduling.
 //
 // Higher layers key coarser entries through the same store: the serving
-// scheduler and nn::DecodeStepCache memoize per-step *makespans* so a
-// repeated decode step costs one mutex-guarded map probe, without even
-// building or compiling the step graph.
+// scheduler memoizes per-step *makespans* of decode steps and prefill
+// chunks under serve::step_cost_key, so a shape another scheduler already
+// costed takes one mutex-guarded map probe, without even building or
+// compiling the step graph.
 //
 // The memo is deliberately process-global (guarded by a mutex, safe for the
 // batch runner's parallel replicas): the entries are pure functions of their

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <vector>
 
@@ -92,82 +91,35 @@ struct DecodeStepGraph {
 /// only changes shape when the KV cache grows.  This cache keys compiled
 /// artifacts by context length, so the per-token loop pays the full
 /// compiler pipeline (mapping, fusion, DMA insertion, memory planning)
-/// exactly once per distinct cache length and then just runs.
-///
-/// Under a serving workload the set of live context lengths is unbounded
-/// (long, varied contexts each pin a compiled artifact), so the cache takes
-/// an optional `max_entries` cap: when exceeded, the least-recently-used
-/// entry is discarded and counted in `evictions()`.  The default (0) keeps
-/// every entry, preserving the original behavior.
+/// exactly once per distinct cache length and then just runs.  Entries are
+/// kept for the cache's lifetime.  (The serving scheduler needs step
+/// *costs*, not artifacts: it times each bucket once and keeps no compiled
+/// graph — see serve::ContinuousBatchScheduler.)
 class DecodeStepCache {
  public:
   struct Entry {
-    DecodeStepGraph step;          ///< value ids + params for binding feeds
+    DecodeStepGraph step;           ///< value ids + params for binding feeds
     graph::CompiledGraph compiled;  ///< owns its copy of the step graph
-    /// False while the entry is residency bookkeeping only: `step_time`
-    /// answered its cost from the process-wide timing memo without building
-    /// or compiling the graph.  `step()` materializes on demand.
-    bool materialized = false;
   };
 
   DecodeStepCache(const graph::Runtime& rt, DecodeConfig cfg,
                   graph::CompileOptions copts = {},
-                  std::uint64_t seed = 0xDEC0DE, std::size_t max_entries = 0)
-      : rt_(rt),
-        cfg_(std::move(cfg)),
-        copts_(copts),
-        seed_(seed),
-        max_entries_(max_entries) {}
+                  std::uint64_t seed = 0xDEC0DE)
+      : rt_(rt), cfg_(std::move(cfg)), copts_(copts), seed_(seed) {}
 
   /// Returns the compiled step for `context_len`, compiling on first use.
-  /// The reference stays valid until `context_len` itself is evicted (it
-  /// survives the eviction its own insertion triggers).
+  /// The reference stays valid for the cache's lifetime.
   const Entry& step(std::int64_t context_len);
 
-  /// Timing-only makespan of the step at `context_len`: answered from the
-  /// process-wide graph::TimingMemo when a previous cache (any instance with
-  /// the same chip/model/compile/seed) already measured it, building and
-  /// compiling the graph only on a memo miss.  Residency and eviction
-  /// bookkeeping runs either way, so `compiled_steps()` / `evictions()`
-  /// match a `step()`-based run byte for byte.  `opts.mode` is forced to
-  /// timing.  The memo holds *fault-free* times only: when the resolved
-  /// fault injector (opts.faults, else the environment) is enabled, the
-  /// step is measured live and the memo is neither read nor written.
-  sim::SimTime step_time(std::int64_t context_len,
-                         const graph::RunOptions& opts);
-
-  /// Distinct context lengths currently *resident* — with an entry cap this
-  /// is at most `max_entries`; add `evictions()` for the total number of
-  /// compilations performed minus cache hits.
+  /// Distinct context lengths compiled so far.
   [[nodiscard]] std::size_t compiled_steps() const { return entries_.size(); }
 
-  /// Entries discarded by the LRU cap (0 while uncapped).  An evicted
-  /// context length recompiles on its next use.
-  [[nodiscard]] std::size_t evictions() const { return evictions_; }
-
-  [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
-
  private:
-  /// LRU lookup-or-insert without compiling; new entries start
-  /// unmaterialized.  The reference follows the same validity rule as
-  /// `step()`.
-  Entry& touch(std::int64_t context_len);
-  /// Builds and compiles the step graph into an unmaterialized entry.
-  void materialize(std::int64_t context_len, Entry& e);
-  /// Memo key for `step_time`: digest of chip config, model config, compile
-  /// options, parameter seed, context length, and schedule policy.
-  [[nodiscard]] std::string time_key(std::int64_t context_len,
-                                     graph::SchedulePolicy policy) const;
-
   graph::Runtime rt_;  // cheap by-value copy: holds only the chip config
   DecodeConfig cfg_;
   graph::CompileOptions copts_;
   std::uint64_t seed_;
-  std::size_t max_entries_ = 0;  ///< 0 = unlimited
-  std::size_t evictions_ = 0;
   std::map<std::int64_t, Entry> entries_;
-  /// Recency order, most recent first (only maintained when capped).
-  std::list<std::int64_t> recency_;
 };
 
 }  // namespace gaudi::nn

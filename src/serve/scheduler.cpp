@@ -17,13 +17,35 @@ std::size_t kv_bytes_per_token(const nn::DecodeConfig& cfg) {
          static_cast<std::size_t>(cfg.head_dim) * sizeof(float);
 }
 
-namespace {
-
-nn::DecodeConfig decode_model(const ServeConfig& cfg) {
-  nn::DecodeConfig m = cfg.model;
-  m.batch = cfg.max_batch;
-  return m;
+std::string step_cost_key(const sim::ChipConfig& chip,
+                          const nn::DecodeConfig& built,
+                          const graph::CompileOptions& copts,
+                          std::uint64_t param_seed,
+                          graph::SchedulePolicy policy, StepPhase phase,
+                          std::int64_t bucket) {
+  // Structured bindings stop compiling when either struct gains or loses a
+  // field, so the key cannot silently fall behind them.
+  const auto& [vocab, batch, heads, head_dim, n_layers, ffn_dim, max_seq] =
+      built;
+  const auto& [fuse_elementwise, enforce_capacity] = copts;
+  graph::Fingerprint fp;
+  fp.u64(graph::chip_fingerprint(chip));
+  for (const std::int64_t v :
+       {vocab, batch, heads, head_dim, n_layers, ffn_dim, max_seq}) {
+    fp.i64(v);
+  }
+  fp.boolean(fuse_elementwise);
+  fp.boolean(enforce_capacity);
+  fp.u64(param_seed);
+  fp.u8(static_cast<std::uint8_t>(policy));
+  fp.u8(static_cast<std::uint8_t>(phase));
+  fp.i64(bucket);
+  std::ostringstream os;
+  os << "serve-step:" << std::hex << fp.digest();
+  return os.str();
 }
+
+namespace {
 
 /// Explicitly disabled injector handed to cost-probe runs: the per-bucket
 /// cost tables are clean baselines, so a process-wide GAUDI_FAULTS opt-in
@@ -65,8 +87,6 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(const graph::Runtime& rt,
                        ? *cfg_.timing_only
                        : graph::timing_only_from_env()),
       validate_(sim::env_flag("GAUDI_VALIDATE", false)),
-      steps_(rt_, decode_model(cfg_), cfg_.compile, cfg_.param_seed,
-             cfg_.step_cache_entries),
       hbm_(rt_.config().memory),
       kv_(kv_config(cfg_), &hbm_) {
   GAUDI_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
@@ -111,77 +131,42 @@ std::int64_t ContinuousBatchScheduler::ctx_to_bucket(std::int64_t ctx) const {
   return std::clamp<std::int64_t>(rounded, 1, cfg_.model.max_seq - 1);
 }
 
-sim::SimTime ContinuousBatchScheduler::decode_step_cost(
-    std::int64_t ctx_bucket) {
-  const auto it = decode_cost_.find(ctx_bucket);
-  if (it != decode_cost_.end()) return it->second;
+sim::SimTime ContinuousBatchScheduler::step_cost(StepPhase phase,
+                                                std::int64_t bucket) {
+  std::vector<sim::SimTime>& table =
+      step_costs_[static_cast<std::size_t>(phase)];
+  const auto slot = static_cast<std::size_t>(bucket);
+  if (slot < table.size() && table[slot] > sim::SimTime::zero()) {
+    return table[slot];
+  }
+  nn::DecodeConfig built = cfg_.model;
+  built.batch = phase == StepPhase::kDecode ? cfg_.max_batch : 1;
   graph::RunOptions opts;
   opts.mode = tpc::ExecMode::kTiming;
   opts.timing_only = timing_only_;
-  // Cost tables are pure timing: guard sweeps (e.g. a process-wide
+  // Step costs are pure timing: guard sweeps (e.g. a process-wide
   // GAUDI_GUARD) must not inflate serving costs in one mode and not the
   // other, and env-level fault injection must not perturb them either.
   opts.guard = sim::NumericsPolicy::kOff;
   opts.faults = &kNoFaults;
-  sim::SimTime cost{};
-  if (timing_only_) {
-    cost = steps_.step_time(ctx_bucket, opts);
-  } else {
-    const nn::DecodeStepCache::Entry& entry = steps_.step(ctx_bucket);
-    cost = rt_.run(entry.compiled, {}, opts).makespan;
-  }
-  decode_cost_.emplace(ctx_bucket, cost);
-  return cost;
-}
-
-std::string ContinuousBatchScheduler::prefill_time_key(
-    std::int64_t bucket) const {
-  graph::Fingerprint fp;
-  fp.u64(graph::chip_fingerprint(rt_.config()));
-  fp.i64(cfg_.model.vocab);
-  fp.i64(cfg_.model.heads);
-  fp.i64(cfg_.model.head_dim);
-  fp.i64(cfg_.model.n_layers);
-  fp.i64(cfg_.model.ffn_dim);
-  fp.i64(cfg_.model.max_seq);
-  fp.boolean(cfg_.compile.fuse_elementwise);
-  fp.boolean(cfg_.compile.enforce_capacity);
-  fp.u64(cfg_.param_seed);
-  fp.i64(bucket);
-  std::ostringstream os;
-  os << "prefill-chunk:" << std::hex << fp.digest();
-  return os.str();
-}
-
-sim::SimTime ContinuousBatchScheduler::prefill_chunk_cost(std::int64_t chunk) {
-  const std::int64_t bucket =
-      std::min(ctx_to_bucket(chunk), cfg_.model.max_seq);
-  const auto it = prefill_cost_.find(bucket);
-  if (it != prefill_cost_.end()) return it->second;
   graph::TimingMemo& memo = graph::TimingMemo::global();
-  const std::string key = timing_only_ ? prefill_time_key(bucket) : "";
-  if (timing_only_) {
-    sim::SimTime cached{};
-    if (memo.find_time(key, &cached)) {
-      prefill_cost_.emplace(bucket, cached);
-      return cached;
+  const std::string key =
+      timing_only_ ? step_cost_key(rt_.config(), built, cfg_.compile,
+                                   cfg_.param_seed, opts.policy, phase, bucket)
+                   : std::string{};
+  sim::SimTime cost{};
+  if (!timing_only_ || !memo.find_time(key, &cost)) {
+    graph::Graph g;
+    if (phase == StepPhase::kDecode) {
+      (void)nn::build_gpt_decode_step(g, built, bucket, cfg_.param_seed);
+    } else {
+      (void)nn::build_gpt_prefill(g, built, bucket, cfg_.param_seed);
     }
+    cost = rt_.run(rt_.compile(g, cfg_.compile), {}, opts).makespan;
+    if (timing_only_) memo.insert_time(key, cost);
   }
-  graph::Graph g;
-  nn::DecodeConfig m = cfg_.model;
-  m.batch = 1;  // prefill chunks run one request at a time
-  const nn::PrefillGraph pre =
-      nn::build_gpt_prefill(g, m, bucket, cfg_.param_seed);
-  (void)pre;
-  const graph::CompiledGraph compiled = rt_.compile(g, cfg_.compile);
-  graph::RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = timing_only_;
-  opts.guard = sim::NumericsPolicy::kOff;  // see decode_step_cost
-  opts.faults = &kNoFaults;                // see decode_step_cost
-  const sim::SimTime cost = rt_.run(compiled, {}, opts).makespan;
-  if (timing_only_) memo.insert_time(key, cost);
-  prefill_cost_.emplace(bucket, cost);
+  if (slot >= table.size()) table.resize(slot + 1);
+  table[slot] = cost;
   return cost;
 }
 
@@ -612,7 +597,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
       if (!a.in_prefill()) continue;
       const std::int64_t chunk =
           std::min(cfg_.prefill_chunk, a.prefill_needed - a.prefilled);
-      iter_time += prefill_chunk_cost(chunk);
+      iter_time += step_cost(StepPhase::kPrefill, ctx_to_bucket(chunk));
       a.prefilled += chunk;
       prefill_id = a.req.id;
       ++prefill_chunks_;
@@ -624,7 +609,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
       for (const DecodeSlot& slot : survivors) {
         max_ctx = std::max(max_ctx, slot.ctx_in);
       }
-      iter_time += decode_step_cost(ctx_to_bucket(max_ctx));
+      iter_time += step_cost(StepPhase::kDecode, ctx_to_bucket(max_ctx));
       ++decode_steps_;
     }
 
@@ -770,8 +755,6 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
   report.chip_failures = chip_failures_;
   report.hbm_stalls = hbm_stalls_;
   report.tpc_stragglers = tpc_stragglers_;
-  report.compiled_decode_steps = steps_.compiled_steps();
-  report.step_cache_evictions = steps_.evictions();
   report.kv_total_blocks = kv_.total_blocks();
   report.kv_peak_blocks = kv_.peak_used_blocks();
   report.kv_peak_fragmented_tokens = kv_peak_frag_;
@@ -782,9 +765,7 @@ std::string ServeReport::to_report() const {
   std::ostringstream os;
   os << summary.to_report();
   os << "schedule: " << iterations << " iterations (" << decode_steps
-     << " decode steps, " << prefill_chunks << " prefill chunks), "
-     << compiled_decode_steps << " compiled step graphs resident, "
-     << step_cache_evictions << " evicted\n";
+     << " decode steps, " << prefill_chunks << " prefill chunks)\n";
   os << "kv pool:  " << kv_peak_blocks << " of " << kv_total_blocks
      << " blocks at peak, " << kv_peak_fragmented_tokens
      << " token slots fragmented at peak\n";

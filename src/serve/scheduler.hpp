@@ -8,15 +8,16 @@
 // request already generating — new requests join and finished requests
 // leave between iterations, never waiting for a batch to drain.
 //
-// Costs come from the compile/execute split: decode-step graphs are
-// compiled once per bucketed context length through `nn::DecodeStepCache`
-// (batch shape fixed at `max_batch` — partially filled iterations ride the
-// compiled shape with idle slots, exactly as static-shape serving does on
-// real accelerators) and prefill chunks once per bucketed chunk length;
-// both are replayed from a memoized timing table afterwards.  An iteration
-// is billed as prefill-chunk time plus decode-step time: the two phases
-// share the engines serially, which is the pessimistic (barrier) reading
-// of the paper's scheduler study.
+// Costs come from the compile/execute split, through one step-cost path:
+// a decode step is built at `max_batch` per bucketed context length
+// (partially filled iterations ride the compiled shape with idle slots,
+// exactly as static-shape serving does on real accelerators) and a prefill
+// chunk at batch 1 per bucketed chunk length; each is compiled and timed
+// once, then answered from a per-scheduler table (and, on the timing-only
+// fast path, from graph::TimingMemo under step_cost_key).  An iteration is
+// billed as prefill-chunk time plus decode-step time: the two phases share
+// the engines serially, which is the pessimistic (barrier) reading of the
+// paper's scheduler study.
 //
 // KV capacity is enforced by the paged allocator: admission reserves the
 // prompt up front, decode grows one token at a time, and when the pool is
@@ -40,9 +41,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,6 +61,22 @@ namespace gaudi::serve {
 /// single sequence (f32 rows, K and V, every layer).
 [[nodiscard]] std::size_t kv_bytes_per_token(const nn::DecodeConfig& cfg);
 
+/// The two graphs a serving iteration is billed for: one fused decode step
+/// (built at `max_batch`) and one prefill chunk (built at batch 1).
+enum class StepPhase : std::uint8_t { kDecode, kPrefill };
+
+/// graph::TimingMemo key of one step cost: a digest of the chip, every
+/// field of `built` (the DecodeConfig the step graph is built from, batch
+/// included), both compile options, the parameter seed, the schedule
+/// policy, the phase, and the bucket (context length of a decode step,
+/// token count of a prefill chunk).
+[[nodiscard]] std::string step_cost_key(const sim::ChipConfig& chip,
+                                        const nn::DecodeConfig& built,
+                                        const graph::CompileOptions& copts,
+                                        std::uint64_t param_seed,
+                                        graph::SchedulePolicy policy,
+                                        StepPhase phase, std::int64_t bucket);
+
 struct ServeConfig {
   nn::DecodeConfig model = nn::DecodeConfig::gpt2_paper();
   /// Concurrent batch slots (also the compiled decode batch shape).
@@ -72,16 +89,14 @@ struct ServeConfig {
   /// KV pool geometry; `num_blocks` is derived from `kv_budget_bytes`.
   std::int64_t block_tokens = 64;
   std::size_t kv_budget_bytes = 64ull * 1024 * 1024;
-  /// LRU cap on resident compiled decode steps (0 = unlimited).
-  std::size_t step_cache_entries = 0;
   graph::CompileOptions compile{};
   std::uint64_t param_seed = 0xDEC0DE;
-  /// Cost iterations through the timing-only fast path: decode-step and
-  /// prefill-chunk makespans answer from the process-wide graph::TimingMemo,
-  /// so repeated shapes — across iterations and across scheduler instances
-  /// of the same model — skip graph construction, compilation, and
-  /// scheduling entirely.  Reports are byte-identical either way.  Unset
-  /// defers to the GAUDI_TIMING_ONLY environment variable.
+  /// Cost iterations through the timing-only fast path: a decode-step or
+  /// prefill-chunk makespan this scheduler has not yet costed answers from
+  /// the process-wide graph::TimingMemo, so a shape another scheduler
+  /// instance of the same model already costed skips graph construction,
+  /// compilation, and scheduling entirely.  Reports are byte-identical
+  /// either way.  Unset defers to the GAUDI_TIMING_ONLY environment variable.
   std::optional<bool> timing_only{};
 
   // -- Fault tolerance (DESIGN.md §11) --------------------------------------
@@ -135,8 +150,6 @@ struct ServeReport {
   std::int64_t chip_failures = 0;
   std::int64_t hbm_stalls = 0;
   std::int64_t tpc_stragglers = 0;
-  std::size_t compiled_decode_steps = 0;  ///< resident in the step cache
-  std::size_t step_cache_evictions = 0;
   std::int64_t kv_total_blocks = 0;
   std::int64_t kv_peak_blocks = 0;
   std::int64_t kv_peak_fragmented_tokens = 0;
@@ -297,10 +310,11 @@ class ContinuousBatchScheduler {
   };
 
   [[nodiscard]] std::int64_t ctx_to_bucket(std::int64_t ctx) const;
-  [[nodiscard]] sim::SimTime decode_step_cost(std::int64_t ctx_bucket);
-  [[nodiscard]] sim::SimTime prefill_chunk_cost(std::int64_t chunk);
-  /// TimingMemo key for a prefill chunk of `bucket` tokens.
-  [[nodiscard]] std::string prefill_time_key(std::int64_t bucket) const;
+  /// Makespan of one `phase` graph at `bucket`: from the per-scheduler
+  /// table; else, on the timing-only path, from graph::TimingMemo; else
+  /// built, compiled, and timed (guard off, faults off), the compiled graph
+  /// dropped once costed.
+  [[nodiscard]] sim::SimTime step_cost(StepPhase phase, std::int64_t bucket);
   /// Frees KV until `tokens` fit, preempting victims other than `self`.
   /// Returns false when no victim remains and the pool still cannot fit.
   bool make_room(std::int64_t tokens, std::int64_t self_id);
@@ -333,12 +347,11 @@ class ContinuousBatchScheduler {
   bool validate_ = false;     ///< resolved from GAUDI_VALIDATE at construction
   bool cluster_ = false;      ///< bound to a ClusterRouter (see bind_cluster)
   std::vector<ReplicaEvent>* events_ = nullptr;  ///< step() event buffer
-  nn::DecodeStepCache steps_;
   memory::DeviceAllocator hbm_;
   PagedKvAllocator kv_;
   MetricsSink sink_;
-  std::map<std::int64_t, sim::SimTime> decode_cost_;   ///< by ctx bucket
-  std::map<std::int64_t, sim::SimTime> prefill_cost_;  ///< by chunk bucket
+  /// Step costs by [phase][bucket]; zero = not yet costed.
+  std::array<std::vector<sim::SimTime>, 2> step_costs_;
   std::vector<Active> running_;
   std::deque<Active> requeued_;  ///< preempted/retrying, awaiting re-admission
   std::deque<Request> waiting_;  ///< arrived, not yet admitted or shed

@@ -168,16 +168,16 @@ end
   EXPECT_THROW((void)run_batch(cfg), sim::InvalidArgument);
 }
 
-// A non-positive size or a negative cache cap fails with the serve CLI's
-// named error instead of running (cache-cap -1 used to wrap to an unbounded
-// step cache, block-tokens -4 to an 18446744073709551104-byte block).
+// A non-positive size fails with the serve CLI's named error instead of
+// running (block-tokens -4 used to wrap to an 18446744073709551104-byte
+// block); the removed cache-cap key fails as an unknown key.
 TEST(BatchRun, RejectsOutOfRangeSchedulerKeysByName) {
   const struct {
     const char* key;
     const char* value;
     const char* message;
   } cases[] = {
-      {"cache-cap", "-1", "cache-cap expects a non-negative count"},
+      {"cache-cap", "-1", "unknown key 'cache-cap'"},
       {"max-batch", "0", "max-batch expects a positive count"},
       {"prefill-chunk", "0", "prefill-chunk expects a positive token count"},
       {"ctx-bucket", "-2", "ctx-bucket expects a positive token count"},

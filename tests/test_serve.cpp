@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -304,33 +306,76 @@ TEST(DecodeValidation, DecodeStepNamesTheLimit) {
   }
 }
 
-TEST(DecodeStepCacheLru, UncappedNeverEvicts) {
-  const graph::Runtime rt(sim::ChipConfig::hls1());
-  nn::DecodeStepCache cache(rt, nn::DecodeConfig::tiny());
-  (void)cache.step(2);
-  (void)cache.step(4);
-  (void)cache.step(6);
-  EXPECT_EQ(cache.compiled_steps(), 3u);
-  EXPECT_EQ(cache.evictions(), 0u);
+// ------------------------------------------------------------ step-cost key
+
+struct StepCostInputs {
+  sim::ChipConfig chip = sim::ChipConfig::hls1();
+  nn::DecodeConfig built = nn::DecodeConfig::gpt2_paper();
+  graph::CompileOptions copts{};
+  std::uint64_t seed = 0xDEC0DE;
+  graph::SchedulePolicy policy = graph::SchedulePolicy::kBarrier;
+  serve::StepPhase phase = serve::StepPhase::kDecode;
+  std::int64_t bucket = 64;
+
+  [[nodiscard]] std::string key() const {
+    return serve::step_cost_key(chip, built, copts, seed, policy, phase,
+                                bucket);
+  }
+};
+
+TEST(StepCostKey, EveryFieldPhaseAndBucketChangesTheKey) {
+  // Structured bindings fail to compile when DecodeConfig or CompileOptions
+  // gains or loses a field, so this list cannot silently fall behind them.
+  [[maybe_unused]] const auto& [vocab, batch, heads, head_dim, n_layers,
+                                ffn_dim, max_seq] = nn::DecodeConfig{};
+  [[maybe_unused]] const auto& [fuse_elementwise, enforce_capacity] =
+      graph::CompileOptions{};
+  using Mutation = std::function<void(StepCostInputs&)>;
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"vocab", [](StepCostInputs& in) { in.built.vocab = 1000; }},
+      {"batch", [](StepCostInputs& in) { in.built.batch = 8; }},
+      {"heads", [](StepCostInputs& in) { in.built.heads = 4; }},
+      {"head_dim", [](StepCostInputs& in) { in.built.head_dim = 32; }},
+      {"n_layers", [](StepCostInputs& in) { in.built.n_layers = 3; }},
+      {"ffn_dim", [](StepCostInputs& in) { in.built.ffn_dim = 1024; }},
+      {"max_seq", [](StepCostInputs& in) { in.built.max_seq = 4096; }},
+      {"fuse_elementwise",
+       [](StepCostInputs& in) { in.copts.fuse_elementwise = true; }},
+      {"enforce_capacity",
+       [](StepCostInputs& in) { in.copts.enforce_capacity = false; }},
+      {"chip", [](StepCostInputs& in) { in.chip.tpc.clock_hz *= 2.0; }},
+      {"seed", [](StepCostInputs& in) { in.seed = 7; }},
+      {"policy",
+       [](StepCostInputs& in) { in.policy = graph::SchedulePolicy::kOverlap; }},
+      {"phase",
+       [](StepCostInputs& in) { in.phase = serve::StepPhase::kPrefill; }},
+      {"bucket", [](StepCostInputs& in) { in.bucket = 128; }},
+  };
+  const std::string base = StepCostInputs{}.key();
+  std::set<std::string> keys = {base};
+  for (const auto& [field, mutate] : mutations) {
+    StepCostInputs in;
+    mutate(in);
+    const std::string k = in.key();
+    EXPECT_NE(k, base) << field;
+    keys.insert(k);
+  }
+  EXPECT_EQ(keys.size(), mutations.size() + 1) << "two fields collide";
 }
 
-TEST(DecodeStepCacheLru, CapEvictsLeastRecentlyUsed) {
-  const graph::Runtime rt(sim::ChipConfig::hls1());
-  nn::DecodeStepCache cache(rt, nn::DecodeConfig::tiny(), {}, 0xDEC0DE,
-                            /*max_entries=*/2);
-  (void)cache.step(2);
-  (void)cache.step(4);
-  EXPECT_EQ(cache.compiled_steps(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  (void)cache.step(2);  // refresh: 4 is now the LRU entry
-  (void)cache.step(6);  // evicts 4
-  EXPECT_EQ(cache.compiled_steps(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  (void)cache.step(4);  // recompiles, evicting 2
-  EXPECT_EQ(cache.compiled_steps(), 2u);
-  EXPECT_EQ(cache.evictions(), 2u);
-  (void)cache.step(6);  // still resident: no further eviction
-  EXPECT_EQ(cache.evictions(), 2u);
+TEST(StepCostKey, DecodeAndPrefillAtAnEqualBucketNeverCollide) {
+  // With max_batch = 1 both phases build from the same DecodeConfig, so
+  // only the phase tells a decode step from a prefill chunk of equal size.
+  for (const std::int64_t batch : {1, 8}) {
+    for (const std::int64_t bucket : {1, 64, 4095}) {
+      StepCostInputs decode;
+      decode.built.batch = batch;
+      decode.bucket = bucket;
+      StepCostInputs prefill = decode;
+      prefill.phase = serve::StepPhase::kPrefill;
+      EXPECT_NE(decode.key(), prefill.key()) << batch << " " << bucket;
+    }
+  }
 }
 
 // -------------------------------------------------- CLI bugfix regressions
@@ -632,6 +677,14 @@ TEST(CliServe, RejectsNonPositiveGeometryNamingTheFlag) {
   expect_named_error("--watchdog-ms", "-5");
   expect_named_error("--shed-queue-depth", "-2");
   expect_named_error("--shed-free-blocks", "-1");
+}
+
+TEST(CliServe, RejectsTheRemovedCacheCapFlagByName) {
+  // The step-cost path keeps no compiled graphs, so there is no cache to cap.
+  std::string out;
+  EXPECT_EQ(run({"serve", "--cache-cap", "2"}, &out), 1);
+  EXPECT_NE(out.find("error:"), std::string::npos) << out;
+  EXPECT_NE(out.find("--cache-cap"), std::string::npos) << out;
 }
 
 TEST(CliServe, FaultFlagsAreDeterministicAndReportFaults) {
