@@ -10,13 +10,20 @@
 // Grammar (line-oriented; '#' starts a comment, blank lines ignored):
 //
 //   experiment <name>
-//     command <serve|profile-layer|profile-model|mme-vs-tpc>
-//     set <key> <value>          # fixed parameter (CLI option spelling)
+//     command <serve|serve-cluster|profile-layer|profile-model|mme-vs-tpc>
+//     set <key> <value>          # fixed parameter
 //     sweep <key> <v1> <v2> ...  # one grid axis; axes multiply
 //     seeds <s1> <s2> ...        # workload seeds (0x... accepted)
 //     repeats <n>                # replicas per seed: seed+0 .. seed+n-1
-//     timing-only <on|off>       # serve cells only; default defers to env
+//     timing-only <on|off>       # serving cells only; default defers to env
 //   end
+//
+// `set <key> <value>` takes any option of the command, CLI spelling without
+// the "--"; `faults on` switches faults.  Cells parse through the CLI's own
+// option parsers (core/cli.hpp), so a key is accepted, defaulted and
+// rejected exactly as on the command line.  `seed` and `timing-only` belong
+// to their directives and are rejected as keys.  mme-vs-tpc takes `size`
+// and `batch`, one probe per cell.
 //
 // Each point of the sweep grid is one *cell*; each cell runs once per
 // (seed, repeat) pair with effective seed `seed + repeat`, and the cell's
@@ -47,8 +54,8 @@ struct BatchExperiment {
   std::vector<std::pair<std::string, std::vector<std::string>>> sweeps;
   std::vector<std::uint64_t> seeds{0x5E21E};
   std::int64_t repeats = 1;
-  /// serve cells only; unset defers to ServeConfig's GAUDI_TIMING_ONLY
-  /// fallback.
+  /// serve and serve-cluster cells only; unset defers to ServeConfig's
+  /// GAUDI_TIMING_ONLY fallback.
   std::optional<bool> timing_only{};
 };
 

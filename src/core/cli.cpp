@@ -3,12 +3,12 @@
 #include <cmath>
 #include <optional>
 #include <sstream>
+#include <tuple>
 
 #include <fstream>
 
 #include "core/advisor.hpp"
 #include "core/batch.hpp"
-#include "core/experiments.hpp"
 #include "core/html_report.hpp"
 #include "core/table.hpp"
 #include "graph/printer.hpp"
@@ -17,11 +17,7 @@
 #include "nn/train.hpp"
 #include "graph/timing_memo.hpp"
 #include "scaleout/checkpoint.hpp"
-#include "serve/cluster.hpp"
-#include "serve/scheduler.hpp"
-#include "serve/workload.hpp"
 #include "sim/error.hpp"
-#include "sim/fault.hpp"
 #include "sim/numerics.hpp"
 
 namespace gaudi::core {
@@ -32,6 +28,10 @@ constexpr const char* kUsage = R"(gaudisim — Gaudi-class accelerator simulator
 
 usage: gaudisim_cli <command> [options]
 
+Each option may be given once.  A boolean option (--fuse, --validate,
+--faults, --migrate, --breaker, ...) is on as a bare flag or with on|1,
+and off with off|0.
+
 commands:
   op-mapping                     print the operation->engine table (Table 1)
   mme-vs-tpc [--sizes a,b,c]     MME vs TPC batched matmul (Table 2)
@@ -40,16 +40,16 @@ commands:
       --feature-map relu|leaky_relu|gelu|glu|elu             (elu)
       --seq N --batch B --heads H --head-dim D --ffn F
       --policy barrier|overlap   scheduler policy             (barrier)
-      --fuse                     enable element-wise fusion
+      --fuse                     enable element-wise fusion   (off)
       --validate                 run the trace invariant validator
       --compile-stats            print per-pass compiler timings and plans
       --trace FILE               write a Chrome trace
       --html FILE                write a self-contained HTML report
       --seed N                   execution seed               (0x6A0D1)
       --guard off|warn|trap      numerics guard policy (default: GAUDI_GUARD)
-      --faults                   inject deterministic hardware faults
-      --fault-seed N --mtbf N    fault seed / MTBF in steps (stress profile
-                                 when --mtbf is omitted)
+      --faults                   inject deterministic hardware faults (off)
+      --fault-seed N --mtbf N    fault seed / MTBF in steps; --mtbf only
+                                 sets the rate (stress profile when omitted)
       --sdc-rate R               per-node HBM bit-flip probability (0)
   profile-model [options]        profile an LLM training step (Figs 8-9)
       --arch gpt2|bert           (gpt2)
@@ -99,6 +99,7 @@ commands:
       --arrivals FILE            replay a trace instead of Poisson
                                  (arrival_ms,prompt,output[,priority
                                  [,deadline_ms]] per line, # comments)
+      --model gpt2|tiny          decode model served          (gpt2)
       --max-batch N              concurrent batch slots       (8)
       --prefill-chunk N          prompt tokens prefilled per iteration (128)
       --ctx-bucket N             context-length bucket for compiled steps (64)
@@ -107,8 +108,8 @@ commands:
       --seed N                   workload seed                (0x5E21E)
       --faults                   inject chip failures / stalls / stragglers
       --fault-seed N             fault schedule seed          (0xFA517)
-      --mtbf N                   mean iterations between failures; absent
-                                 with --faults = stress rates
+      --mtbf N                   mean iterations between failures with
+                                 --faults; absent = stress rates
       --retry-max N              chip-failure retries before kFailed (3)
       --watchdog-ms T            abort a request stalled this long; 0 = off
       --shed-queue-depth N       shed lowest-priority arrivals past this
@@ -131,14 +132,14 @@ commands:
       --suspicion-ms T           silence before a replica is marked down (10)
       --hedge-ms T               duplicate a request with no first token
                                  after T; 0 = off
-      --no-breaker               disable the per-replica circuit breaker
+      --breaker on|off           per-replica circuit breaker    (on)
       --breaker-window N         sliding outcome window         (8)
       --breaker-min N            samples before the breaker may open (4)
       --breaker-threshold R      failure fraction that opens    (0.5)
       --breaker-cooldown-ms T    open -> half-open probe delay  (100)
       --migrate                  live KV migration: evacuate degraded or
                                  draining replicas by streaming paged KV
-                                 blocks over the fabric (no re-prefill)
+                                 blocks over the fabric (off; no re-prefill)
       --migration-chunk-blocks N paged KV blocks per migration chunk (4)
       --drain-replica R          drain replica R: stop new dispatch, move
                                  its work elsewhere, finish with no failures
@@ -148,7 +149,9 @@ commands:
       --degraded-after N         straggler/HBM-stall events inside the
                                  window before a replica is degraded (3)
   batch FILE [options]           run a declarative experiment grid: FILE
-                                 sweeps {command, axes, seeds, repeats}
+                                 sweeps {command, axes, seeds, repeats};
+                                 `set`/`sweep` take the command's options
+                                 above without the leading --
                                  (see examples/serving_sweep.cfg); replicas
                                  run in parallel, stats reduce to
                                  n/mean/p50/p99 per cell
@@ -163,33 +166,38 @@ trace, same as passing --validate.  GAUDI_FAULTS=1 injects faults into
 every scheduled trace (seeded by GAUDI_FAULT_SEED), same as --faults.
 )";
 
-nn::AttentionKind parse_attention(const std::string& s) {
-  if (s == "softmax") return nn::AttentionKind::kSoftmax;
-  if (s == "linear") return nn::AttentionKind::kLinear;
-  if (s == "performer") return nn::AttentionKind::kPerformer;
-  if (s == "linformer") return nn::AttentionKind::kLinformer;
-  if (s == "local") return nn::AttentionKind::kLocal;
-  throw sim::InvalidArgument("unknown attention mechanism: " + s);
+/// Reads the enumerated option `key` as the one of `values` that `name`
+/// spells that way (absent: `fallback`); any other spelling is an error
+/// naming --key and listing the accepted ones.
+template <typename T, typename Name>
+T get_choice(const ArgParser& args, const std::string& key, T fallback,
+             std::initializer_list<T> values, Name name) {
+  const std::string s = args.get(key, name(fallback));
+  std::string names;
+  for (const T v : values) {
+    if (s == name(v)) return v;
+    if (!names.empty()) names += '|';
+    names += name(v);
+  }
+  throw sim::InvalidArgument("--" + key + " expects " + names + ", got '" +
+                             s + "'");
 }
 
-nn::Activation parse_activation(const std::string& s) {
-  if (s == "relu") return nn::Activation::kRelu;
-  if (s == "leaky_relu") return nn::Activation::kLeakyRelu;
-  if (s == "gelu") return nn::Activation::kGelu;
-  if (s == "glu") return nn::Activation::kGlu;
-  if (s == "elu") return nn::Activation::kElu;
-  throw sim::InvalidArgument("unknown feature map: " + s);
+nn::LmArch parse_arch(const ArgParser& args) {
+  return get_choice(args, "arch", nn::LmArch::kGpt2,
+                    {nn::LmArch::kGpt2, nn::LmArch::kBert}, nn::lm_arch_name);
 }
 
-graph::SchedulePolicy parse_policy(const std::string& s) {
-  if (s == "barrier") return graph::SchedulePolicy::kBarrier;
-  if (s == "overlap") return graph::SchedulePolicy::kOverlap;
-  throw sim::InvalidArgument("unknown scheduler policy: " + s);
+nn::OptimizerKind parse_optimizer(const ArgParser& args) {
+  using K = nn::OptimizerKind;
+  return get_choice(args, "optimizer", K::kSgd,
+                    {K::kSgd, K::kSgdMomentum, K::kAdam},
+                    nn::optimizer_kind_name);
 }
 
 /// Parses --guard into an explicit policy override; absent defers to the
 /// GAUDI_GUARD environment variable (a bare --guard flag means warn).
-std::optional<sim::NumericsPolicy> parse_guard(ArgParser& args) {
+std::optional<sim::NumericsPolicy> parse_guard(const ArgParser& args) {
   const std::string s = args.get("guard", "\x01");
   if (s == "\x01") return std::nullopt;
   if (s == "off") return sim::NumericsPolicy::kOff;
@@ -199,59 +207,230 @@ std::optional<sim::NumericsPolicy> parse_guard(ArgParser& args) {
                              " (expected off|warn|trap)");
 }
 
-/// `parse_i64`'s floating-point sibling: rejects non-numeric input and
-/// trailing garbage with an InvalidArgument naming `what`.
-double parse_f64(const std::string& text, const std::string& what) {
+/// Parses all of `text` with `stox` (std::stoll or std::stod); non-numeric
+/// input, overflow and trailing garbage ("12abc" must not silently become
+/// 12) throw an InvalidArgument naming `what`.
+template <typename Stox>
+auto parse_whole(const std::string& text, const std::string& what,
+                 const std::string& kind, Stox stox) {
   std::size_t pos = 0;
-  double value = 0.0;
+  decltype(stox(text, &pos)) value{};
   try {
-    value = std::stod(text, &pos);
+    value = stox(text, &pos);
   } catch (const std::exception&) {
-    throw sim::InvalidArgument(what + " expects a number, got '" + text + "'");
+    throw sim::InvalidArgument(what + " expects " + kind + ", got '" + text +
+                               "'");
   }
   if (pos != text.size()) {
-    throw sim::InvalidArgument(what + " expects a number, got '" + text +
+    throw sim::InvalidArgument(what + " expects " + kind + ", got '" + text +
                                "' (trailing '" + text.substr(pos) + "')");
   }
   return value;
 }
 
-/// Parses --faults / --fault-seed / --mtbf / --sdc-rate into an injector.
-/// Disabled (all rates zero) when --faults is absent and --sdc-rate is zero;
-/// --mtbf picks calibrated rates, its absence the aggressive stress profile.
-/// --sdc-rate layers HBM bit flips on top (or alone, without --faults).
-sim::FaultInjector parse_fault_injector(ArgParser& args,
-                                        std::uint32_t chips = 8) {
-  const bool on = args.has("faults");
+double parse_f64(const std::string& text, const std::string& what) {
+  return parse_whole(text, what, "a number",
+                     [](const auto& t, auto* pos) { return std::stod(t, pos); });
+}
+
+/// Reads an integer option that must be at least `min` (0 or 1); a smaller
+/// value is an error naming --key, e.g. "--kv-mb expects a positive MiB
+/// count".
+std::int64_t get_count(const ArgParser& args, const std::string& key,
+                       std::int64_t fallback, std::int64_t min,
+                       const std::string& noun = "count") {
+  const std::int64_t v = args.get_int(key, fallback);
+  GAUDI_CHECK(v >= min, "--" + key + " expects a " +
+                            (min > 0 ? "positive " : "non-negative ") + noun);
+  return v;
+}
+
+/// `get_count` for a whole-millisecond option.
+sim::SimTime get_ms(const ArgParser& args, const std::string& key,
+                    sim::SimTime fallback, std::int64_t min = 0) {
+  return sim::SimTime::from_ms(static_cast<double>(get_count(
+      args, key, static_cast<std::int64_t>(fallback.ms()), min, "time")));
+}
+
+/// --faults / --fault-seed / --mtbf: the fault seed and the chip-fault
+/// profile, disabled unless --faults.  --mtbf picks calibrated rates, its
+/// absence the aggressive stress profile.
+std::pair<std::uint64_t, sim::FaultProfile> parse_fault_profile(
+    const ArgParser& args, std::uint32_t chips) {
+  const bool on = args.get_bool("faults").value_or(false);
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("fault-seed", 0xFA517));
-  const std::int64_t mtbf = args.get_int("mtbf", 0);
+  // Validated even when disabled: `serve --mtbf -5` without --faults must
+  // still be rejected, not silently accepted.
+  const std::int64_t mtbf = get_count(args, "mtbf", 0, 0, "step count");
+  if (!on) return {seed, sim::FaultProfile::disabled()};
+  return {seed, mtbf > 0 ? sim::FaultProfile::from_mtbf_steps(
+                               static_cast<double>(mtbf), chips)
+                         : sim::FaultProfile::stress()};
+}
+
+}  // namespace
+
+ServeStreamArgs parse_serve_stream(const ArgParser& args) {
+  ServeStreamArgs s;
+  serve::StreamConfig& scfg = s.scfg;
+  scfg.arrival_rate_rps = parse_f64(args.get("rate", "8"), "option --rate");
+  scfg.num_requests = args.get_int("requests", scfg.num_requests);
+  scfg.prompt.lo = args.get_int("prompt-min", scfg.prompt.lo);
+  scfg.prompt.hi = args.get_int("prompt-max", scfg.prompt.hi);
+  scfg.output.lo = args.get_int("output-min", scfg.output.lo);
+  scfg.output.hi = args.get_int("output-max", scfg.output.hi);
+  scfg.priority_levels =
+      static_cast<std::int32_t>(args.get_int("priorities", 1));
+  scfg.deadline = get_ms(args, "deadline-ms", scfg.deadline);
+  scfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x5E21E));
+  s.trace_path = args.get("arrivals", "");
+  return s;
+}
+
+std::vector<serve::Request> build_serve_stream(const ServeStreamArgs& s) {
+  if (s.trace_path.empty()) return serve::poisson_stream(s.scfg);
+  try {
+    return serve::load_trace(s.trace_path);
+  } catch (const sim::InvalidArgument& e) {
+    throw sim::InvalidArgument(std::string("option --arrivals: ") + e.what());
+  }
+}
+
+serve::ServeConfig parse_serve_scheduler_flags(const ArgParser& args) {
+  serve::ServeConfig cfg;
+  const std::string model = args.get("model", "gpt2");
+  GAUDI_CHECK(model == "gpt2" || model == "tiny",
+              "--model expects gpt2|tiny, got '" + model + "'");
+  if (model == "tiny") cfg.model = nn::DecodeConfig::tiny();
+  cfg.max_batch = get_count(args, "max-batch", cfg.max_batch, 1);
+  cfg.prefill_chunk =
+      get_count(args, "prefill-chunk", cfg.prefill_chunk, 1, "token count");
+  cfg.ctx_bucket =
+      get_count(args, "ctx-bucket", cfg.ctx_bucket, 1, "token count");
+  cfg.block_tokens =
+      get_count(args, "block-tokens", cfg.block_tokens, 1, "token count");
+  const std::int64_t kv_mb = get_count(args, "kv-mb", 64, 1, "MiB count");
+  cfg.kv_budget_bytes = static_cast<std::size_t>(kv_mb) * 1024 * 1024;
+  cfg.timing_only = args.get_bool("timing-only");
+
+  cfg.retry_max =
+      static_cast<std::int32_t>(get_count(args, "retry-max", cfg.retry_max, 0));
+  cfg.retry_backoff = get_ms(args, "retry-backoff-ms", cfg.retry_backoff);
+  cfg.retry_backoff_max =
+      get_ms(args, "retry-backoff-max-ms", cfg.retry_backoff_max, 1);
+  cfg.watchdog = get_ms(args, "watchdog-ms", cfg.watchdog);
+  cfg.shed_queue_depth = get_count(args, "shed-queue-depth", 0, 0, "depth");
+  cfg.shed_min_free_blocks = get_count(args, "shed-free-blocks", 0, 0);
+  return cfg;
+}
+
+sim::FaultInjector parse_fault_injector(const ArgParser& args,
+                                        std::uint32_t chips) {
+  auto [seed, profile] = parse_fault_profile(args, chips);
   const double sdc_rate =
       parse_f64(args.get("sdc-rate", "0"), "option --sdc-rate");
   GAUDI_CHECK(sdc_rate >= 0.0 && sdc_rate <= 1.0 && std::isfinite(sdc_rate),
               "--sdc-rate expects a probability in [0, 1]");
-  // Validate before the disabled early-return: `serve --mtbf -5` without
-  // --faults must still be rejected, not silently accepted.
-  GAUDI_CHECK(mtbf >= 0, "--mtbf expects a positive step count");
-  if (!on && sdc_rate == 0.0) return {};
-  sim::FaultProfile profile =
-      !on ? sim::FaultProfile::disabled()
-      : mtbf > 0
-          ? sim::FaultProfile::from_mtbf_steps(static_cast<double>(mtbf), chips)
-          : sim::FaultProfile::stress();
+  if (!profile.any_rate_positive() && sdc_rate == 0.0) return {};
   profile.sdc_bit_flip_rate = sdc_rate;
   return sim::FaultInjector{seed, profile};
 }
 
-/// Parses --timing-only on|off (a bare flag means on); absent defers to the
-/// GAUDI_TIMING_ONLY environment variable.
-std::optional<bool> parse_timing_only(ArgParser& args) {
-  const std::string s = args.get("timing-only", "\x01");
-  if (s == "\x01") return std::nullopt;
-  if (s.empty() || s == "on") return true;
-  if (s == "off") return false;
-  throw sim::InvalidArgument("--timing-only expects on|off, got '" + s + "'");
+serve::ClusterConfig parse_cluster_flags(const ArgParser& args) {
+  serve::ClusterConfig ccfg;
+  ccfg.replica = parse_serve_scheduler_flags(args);
+  ccfg.replicas = get_count(args, "replicas", ccfg.replicas, 1);
+  using LB = serve::LoadBalancePolicy;
+  ccfg.policy = get_choice(
+      args, "lb", LB::kRoundRobin,
+      {LB::kRoundRobin, LB::kJoinShortestQueue, LB::kLeastKvLoad},
+      serve::load_balance_policy_name);
+  ccfg.heartbeat_interval =
+      get_ms(args, "heartbeat-ms", ccfg.heartbeat_interval);
+  ccfg.suspicion_timeout =
+      get_ms(args, "suspicion-ms", ccfg.suspicion_timeout, 1);
+  ccfg.hedge_budget = get_ms(args, "hedge-ms", sim::SimTime{});
+  ccfg.breaker_enabled = args.get_bool("breaker").value_or(true);
+  ccfg.breaker_window =
+      get_count(args, "breaker-window", ccfg.breaker_window, 1);
+  ccfg.breaker_min_samples =
+      get_count(args, "breaker-min", ccfg.breaker_min_samples, 1);
+  ccfg.breaker_threshold = parse_f64(
+      args.get("breaker-threshold", "0.5"), "option --breaker-threshold");
+  GAUDI_CHECK(ccfg.breaker_threshold > 0.0 && ccfg.breaker_threshold <= 1.0 &&
+                  std::isfinite(ccfg.breaker_threshold),
+              "--breaker-threshold expects a fraction in (0, 1]");
+  ccfg.breaker_cooldown =
+      get_ms(args, "breaker-cooldown-ms", ccfg.breaker_cooldown, 1);
+
+  // Fault model: one cluster seed; the router derives a decorrelated
+  // injector per replica, each chip seeing MTBF iterations between faults.
+  std::tie(ccfg.fault_seed, ccfg.fault_profile) =
+      parse_fault_profile(args, /*chips=*/1);
+
+  // Live migration & draining (serve/migration.*).
+  ccfg.migration.enabled = args.get_bool("migrate").value_or(false);
+  ccfg.migration.chunk_blocks = get_count(
+      args, "migration-chunk-blocks", ccfg.migration.chunk_blocks, 1,
+      "block count");
+  ccfg.drain_replica = args.get_int("drain-replica", ccfg.drain_replica);
+  if (args.has("drain-replica")) {
+    GAUDI_CHECK(ccfg.replicas >= 2,
+                "--drain-replica needs at least two replicas");
+    GAUDI_CHECK(ccfg.drain_replica >= 0 && ccfg.drain_replica < ccfg.replicas,
+                "--drain-replica expects an index below --replicas");
+  }
+  if (args.has("drain-at-ms")) {
+    GAUDI_CHECK(ccfg.drain_replica >= 0,
+                "--drain-at-ms requires --drain-replica");
+  }
+  ccfg.drain_at = get_ms(args, "drain-at-ms", sim::SimTime{});
+  ccfg.health_window =
+      get_ms(args, "health-window-ms", ccfg.health_window, 1);
+  ccfg.degraded_after =
+      get_count(args, "degraded-after", ccfg.degraded_after, 1);
+  return ccfg;
 }
+
+LayerExperiment parse_layer_experiment(const ArgParser& args) {
+  LayerExperiment exp;
+  using AK = nn::AttentionKind;
+  exp.attention.kind = get_choice(
+      args, "attention", AK::kSoftmax,
+      {AK::kSoftmax, AK::kLinear, AK::kPerformer, AK::kLinformer, AK::kLocal},
+      nn::attention_kind_name);
+  using A = nn::Activation;
+  exp.attention.feature_map = get_choice(
+      args, "feature-map", A::kElu,
+      {A::kRelu, A::kLeakyRelu, A::kGelu, A::kGlu, A::kElu},
+      nn::activation_name);
+  exp.seq_len = args.get_int("seq", exp.seq_len);
+  exp.batch = args.get_int("batch", exp.batch);
+  exp.heads = args.get_int("heads", exp.heads);
+  exp.head_dim = args.get_int("head-dim", exp.head_dim);
+  exp.ffn_dim = args.get_int("ffn", exp.ffn_dim);
+  exp.policy = parse_policy(args);
+  return exp;
+}
+
+nn::LmConfig parse_lm_config(const ArgParser& args) {
+  nn::LmConfig cfg = parse_arch(args) == nn::LmArch::kBert
+                         ? nn::LmConfig::bert_paper()
+                         : nn::LmConfig::gpt2_paper();
+  cfg.seq_len = args.get_int("seq", cfg.seq_len);
+  cfg.batch = args.get_int("batch", cfg.batch);
+  cfg.n_layers = args.get_int("layers", cfg.n_layers);
+  return cfg;
+}
+
+graph::SchedulePolicy parse_policy(const ArgParser& args) {
+  using P = graph::SchedulePolicy;
+  return get_choice(args, "policy", P::kBarrier, {P::kBarrier, P::kOverlap},
+                    graph::schedule_policy_name);
+}
+
+namespace {
 
 void check_unused(const ArgParser& args) {
   const auto unused = args.unused();
@@ -263,7 +442,7 @@ void check_unused(const ArgParser& args) {
 void print_profile(std::ostream& out, const std::string& title,
                    const graph::ProfileResult& result,
                    const std::string& trace_path,
-                   const std::string& html_path = "") {
+                   const std::string& html_path) {
   const TraceSummary summary = summarize(result.trace);
   out << to_report(summary, title);
   out << result.trace.ascii_timeline(90);
@@ -292,7 +471,8 @@ void print_profile(std::ostream& out, const std::string& title,
   }
 }
 
-int cmd_op_mapping(std::ostream& out) {
+int cmd_op_mapping(ArgParser& args, std::ostream& out) {
+  check_unused(args);
   out << format_op_mapping(run_op_mapping_probe());
   return 0;
 }
@@ -308,24 +488,54 @@ int cmd_mme_vs_tpc(ArgParser& args, std::ostream& out) {
   return 0;
 }
 
+/// Run options shared by profile-layer and profile-model.
+struct ProfileArgs {
+  bool fuse = false;
+  bool validate = false;
+  bool compile_stats = false;
+  std::string trace_path;
+  std::string html_path;
+  std::uint64_t seed = 0;
+  std::optional<sim::NumericsPolicy> guard;
+  sim::FaultInjector faults;
+};
+
+ProfileArgs parse_profile_args(const ArgParser& args) {
+  ProfileArgs p;
+  p.fuse = args.get_bool("fuse").value_or(false);
+  p.validate = args.get_bool("validate").value_or(false);
+  p.compile_stats = args.get_bool("compile-stats").value_or(false);
+  p.trace_path = args.get("trace", "");
+  p.html_path = args.get("html", "");
+  p.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x6A0D1));
+  p.guard = parse_guard(args);
+  p.faults = parse_fault_injector(args, /*chips=*/8);
+  return p;
+}
+
+/// Compiles `g` (printing the pass statistics when asked) and runs it in
+/// timing mode under `policy`.
+graph::ProfileResult compile_and_run(const graph::Graph& g,
+                                     graph::SchedulePolicy policy,
+                                     const ProfileArgs& p, std::ostream& out) {
+  graph::Runtime rt(sim::ChipConfig::hls1());
+  graph::CompileOptions copts;
+  copts.fuse_elementwise = p.fuse;
+  const graph::CompiledGraph compiled = rt.compile(g, copts);
+  if (p.compile_stats) out << compiled.stats.to_string();
+  graph::RunOptions opts;
+  opts.mode = tpc::ExecMode::kTiming;
+  opts.policy = policy;
+  opts.validate = p.validate;
+  opts.seed = p.seed;
+  opts.guard = p.guard;
+  if (p.faults.enabled()) opts.faults = &p.faults;
+  return rt.run(compiled, {}, opts);
+}
+
 int cmd_profile_layer(ArgParser& args, std::ostream& out) {
-  LayerExperiment exp;
-  exp.attention.kind = parse_attention(args.get("attention", "softmax"));
-  exp.attention.feature_map = parse_activation(args.get("feature-map", "elu"));
-  exp.seq_len = args.get_int("seq", exp.seq_len);
-  exp.batch = args.get_int("batch", exp.batch);
-  exp.heads = args.get_int("heads", exp.heads);
-  exp.head_dim = args.get_int("head-dim", exp.head_dim);
-  exp.ffn_dim = args.get_int("ffn", exp.ffn_dim);
-  exp.policy = parse_policy(args.get("policy", "barrier"));
-  const bool fuse = args.has("fuse");
-  const bool validate = args.has("validate");
-  const bool compile_stats = args.has("compile-stats");
-  const std::string trace_path = args.get("trace", "");
-  const std::string html_path = args.get("html", "");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0x6A0D1));
-  const std::optional<sim::NumericsPolicy> guard = parse_guard(args);
-  const sim::FaultInjector faults = parse_fault_injector(args);
+  const LayerExperiment exp = parse_layer_experiment(args);
+  const ProfileArgs p = parse_profile_args(args);
   check_unused(args);
 
   // Rebuild the layer graph here so fusion can be applied.
@@ -343,60 +553,30 @@ int cmd_profile_layer(ArgParser& args, std::ostream& out) {
               tensor::DType::F32, "x");
   g.mark_output(layer(g, params, x, exp.batch, exp.seq_len));
 
-  graph::Runtime rt(sim::ChipConfig::hls1());
-  graph::CompileOptions copts;
-  copts.fuse_elementwise = fuse;
-  const graph::CompiledGraph compiled = rt.compile(g, copts);
-  if (compile_stats) out << compiled.stats.to_string();
-  graph::RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.policy = exp.policy;
-  opts.validate = validate;
-  opts.seed = seed;
-  opts.guard = guard;
-  if (faults.enabled()) opts.faults = &faults;
+  const graph::ProfileResult result = compile_and_run(g, exp.policy, p, out);
   print_profile(out,
                 std::string("layer / ") +
                     nn::attention_kind_name(exp.attention.kind),
-                rt.run(compiled, {}, opts), trace_path, html_path);
+                result, p.trace_path, p.html_path);
   return 0;
 }
 
 int cmd_profile_model(ArgParser& args, std::ostream& out) {
-  const std::string arch = args.get("arch", "gpt2");
-  nn::LmConfig cfg = arch == "bert" ? nn::LmConfig::bert_paper()
-                     : arch == "gpt2"
-                         ? nn::LmConfig::gpt2_paper()
-                         : throw sim::InvalidArgument("unknown arch: " + arch);
-  cfg.seq_len = args.get_int("seq", cfg.seq_len);
-  cfg.batch = args.get_int("batch", cfg.batch);
-  cfg.n_layers = args.get_int("layers", cfg.n_layers);
-  const graph::SchedulePolicy policy = parse_policy(args.get("policy", "barrier"));
-  const bool fuse = args.has("fuse");
-  const bool validate = args.has("validate");
-  const bool compile_stats = args.has("compile-stats");
-  const std::string optimizer = args.get("optimizer", "none");
-  const std::string trace_path = args.get("trace", "");
+  const nn::LmConfig cfg = parse_lm_config(args);
+  const graph::SchedulePolicy policy = parse_policy(args);
+  const ProfileArgs p = parse_profile_args(args);
+  std::optional<nn::OptimizerKind> optimizer;
+  if (args.get("optimizer", "none") != "none") {
+    optimizer = parse_optimizer(args);
+  }
   const std::string dot_path = args.get("dot", "");
-  const std::string html_path = args.get("html", "");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0x6A0D1));
-  const std::optional<sim::NumericsPolicy> guard = parse_guard(args);
-  const sim::FaultInjector faults = parse_fault_injector(args);
   check_unused(args);
 
   graph::Graph g;
   const nn::LanguageModel model = nn::build_language_model(g, cfg);
-  if (optimizer != "none") {
+  if (optimizer) {
     nn::OptimizerConfig ocfg;
-    if (optimizer == "sgd") {
-      ocfg.kind = nn::OptimizerKind::kSgd;
-    } else if (optimizer == "sgd_momentum") {
-      ocfg.kind = nn::OptimizerKind::kSgdMomentum;
-    } else if (optimizer == "adam") {
-      ocfg.kind = nn::OptimizerKind::kAdam;
-    } else {
-      throw sim::InvalidArgument("unknown optimizer: " + optimizer);
-    }
+    ocfg.kind = *optimizer;
     (void)nn::append_optimizer(g, model, ocfg);
   }
 
@@ -405,49 +585,22 @@ int cmd_profile_model(ArgParser& args, std::ostream& out) {
     out << "graph DOT written to " << dot_path << "\n";
   }
 
-  graph::Runtime rt(sim::ChipConfig::hls1());
-  graph::CompileOptions copts;
-  copts.fuse_elementwise = fuse;
-  const graph::CompiledGraph compiled = rt.compile(g, copts);
-  if (compile_stats) out << compiled.stats.to_string();
-  graph::RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.policy = policy;
-  opts.validate = validate;
-  opts.seed = seed;
-  opts.guard = guard;
-  if (faults.enabled()) opts.faults = &faults;
+  const graph::ProfileResult result = compile_and_run(g, policy, p, out);
   out << "model: " << nn::lm_arch_name(cfg.arch) << ", "
       << model.param_count(g) << " parameters, " << g.num_nodes()
       << " graph nodes\n";
   print_profile(out, std::string(nn::lm_arch_name(cfg.arch)) + " training step",
-                rt.run(compiled, {}, opts), trace_path, html_path);
+                result, p.trace_path, p.html_path);
   return 0;
 }
 
 int cmd_train(ArgParser& args, std::ostream& out) {
   nn::TrainOptions topts;
-  const std::string arch = args.get("arch", "gpt2");
-  if (arch == "gpt2") {
-    topts.model = nn::LmConfig::tiny(nn::LmArch::kGpt2);
-  } else if (arch == "bert") {
-    topts.model = nn::LmConfig::tiny(nn::LmArch::kBert);
-  } else {
-    throw sim::InvalidArgument("unknown arch: " + arch);
-  }
+  topts.model = nn::LmConfig::tiny(parse_arch(args));
   topts.steps = static_cast<std::int32_t>(args.get_int("steps", 8));
-  const std::string optimizer = args.get("optimizer", "sgd");
-  if (optimizer == "sgd") {
-    topts.optimizer.kind = nn::OptimizerKind::kSgd;
-  } else if (optimizer == "sgd_momentum") {
-    topts.optimizer.kind = nn::OptimizerKind::kSgdMomentum;
-  } else if (optimizer == "adam") {
-    topts.optimizer.kind = nn::OptimizerKind::kAdam;
-  } else {
-    throw sim::InvalidArgument("unknown optimizer: " + optimizer);
-  }
-  topts.loss_scaling = !args.has("no-loss-scaling");
-  topts.bf16_grads = !args.has("no-bf16-grads");
+  topts.optimizer.kind = parse_optimizer(args);
+  topts.loss_scaling = !args.get_bool("no-loss-scaling").value_or(false);
+  topts.bf16_grads = !args.get_bool("no-bf16-grads").value_or(false);
   topts.scaler.init_scale =
       static_cast<float>(args.get_int("init-scale", 65536));
   topts.scaler.growth_interval =
@@ -458,16 +611,17 @@ int cmd_train(ArgParser& args, std::ostream& out) {
   topts.checkpoint_dir = args.get("checkpoint-dir", "");
   topts.checkpoint_every =
       static_cast<std::int32_t>(args.get_int("checkpoint-every", 1));
-  topts.resume = args.has("resume");
-  topts.resample_data = args.has("resample-data");
+  topts.resume = args.get_bool("resume").value_or(false);
+  topts.resample_data = args.get_bool("resample-data").value_or(false);
   topts.run.guard = parse_guard(args);
-  const sim::FaultInjector faults = parse_fault_injector(args);
+  const sim::FaultInjector faults = parse_fault_injector(args, /*chips=*/8);
   check_unused(args);
   if (faults.enabled()) topts.run.faults = &faults;
 
   const nn::TrainResult r = nn::train_language_model(topts);
-  out << "train: " << arch << " (tiny), " << topts.steps << " steps, "
-      << optimizer << ", loss scaling "
+  out << "train: " << nn::lm_arch_name(topts.model.arch) << " (tiny), "
+      << topts.steps << " steps, "
+      << nn::optimizer_kind_name(topts.optimizer.kind) << ", loss scaling "
       << (topts.loss_scaling ? "on" : "off") << ", bf16 grads "
       << (topts.bf16_grads ? "on" : "off") << "\n";
   // Resume/checkpoint bookkeeping prints before the step lines so the tail
@@ -502,7 +656,8 @@ int cmd_train_resilient(ArgParser& args, std::ostream& out) {
   cfg.step_time = sim::SimTime::from_ms(
       static_cast<double>(args.get_int("step-ms", 300)));
   cfg.chips = static_cast<std::uint32_t>(args.get_int("chips", 8));
-  cfg.mtbf_steps = static_cast<double>(args.get_int("mtbf", 200));
+  cfg.mtbf_steps =
+      static_cast<double>(get_count(args, "mtbf", 200, 1, "step count"));
   const std::string recovery = args.get("recovery", "young-daly");
   if (recovery == "none") {
     cfg.policy = scaleout::RecoveryPolicy::kNone;
@@ -519,7 +674,6 @@ int cmd_train_resilient(ArgParser& args, std::ostream& out) {
       static_cast<std::uint64_t>(args.get_int("fault-seed", 0xFA517));
   check_unused(args);
 
-  GAUDI_CHECK(cfg.mtbf_steps > 0.0, "--mtbf expects a positive step count");
   const sim::FaultInjector faults{
       seed, sim::FaultProfile::from_mtbf_steps(cfg.mtbf_steps, cfg.chips)};
   const scaleout::TrainingRunReport rep =
@@ -549,38 +703,6 @@ int cmd_train_resilient(ArgParser& args, std::ostream& out) {
   return 0;
 }
 
-/// Workload-stream flags shared by serve and serve-cluster.
-struct ServeStreamArgs {
-  serve::StreamConfig scfg;
-  std::string trace_path;
-};
-
-ServeStreamArgs parse_serve_stream(ArgParser& args) {
-  ServeStreamArgs s;
-  serve::StreamConfig& scfg = s.scfg;
-  scfg.arrival_rate_rps = parse_f64(args.get("rate", "8"), "option --rate");
-  scfg.num_requests = args.get_int("requests", scfg.num_requests);
-  scfg.prompt.lo = args.get_int("prompt-min", scfg.prompt.lo);
-  scfg.prompt.hi = args.get_int("prompt-max", scfg.prompt.hi);
-  scfg.output.lo = args.get_int("output-min", scfg.output.lo);
-  scfg.output.hi = args.get_int("output-max", scfg.output.hi);
-  scfg.priority_levels =
-      static_cast<std::int32_t>(args.get_int("priorities", 1));
-  const std::int64_t deadline_ms = args.get_int("deadline-ms", 0);
-  GAUDI_CHECK(deadline_ms >= 0, "--deadline-ms expects a non-negative time");
-  if (deadline_ms > 0) {
-    scfg.deadline = sim::SimTime::from_ms(static_cast<double>(deadline_ms));
-  }
-  scfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x5E21E));
-  s.trace_path = args.get("arrivals", "");
-  return s;
-}
-
-std::vector<serve::Request> build_serve_stream(const ServeStreamArgs& s) {
-  return s.trace_path.empty() ? serve::poisson_stream(s.scfg)
-                              : serve::load_trace(s.trace_path);
-}
-
 std::string serve_stream_banner(const ServeStreamArgs& s, std::size_t n) {
   std::ostringstream os;
   os << n << " requests ("
@@ -592,63 +714,9 @@ std::string serve_stream_banner(const ServeStreamArgs& s, std::size_t n) {
   return os.str();
 }
 
-/// Per-replica scheduler flags shared by serve and serve-cluster — every
-/// value is validated here with an InvalidArgument naming the option.
-/// Faults are NOT parsed: serve wires one injector, the cluster derives one
-/// per replica.
-serve::ServeConfig parse_serve_scheduler_flags(ArgParser& args,
-                                               std::int64_t* kv_mb_out) {
-  serve::ServeConfig cfg;
-  cfg.max_batch = args.get_int("max-batch", cfg.max_batch);
-  GAUDI_CHECK(cfg.max_batch >= 1, "--max-batch expects a positive count");
-  cfg.prefill_chunk = args.get_int("prefill-chunk", cfg.prefill_chunk);
-  GAUDI_CHECK(cfg.prefill_chunk >= 1,
-              "--prefill-chunk expects a positive token count");
-  cfg.ctx_bucket = args.get_int("ctx-bucket", cfg.ctx_bucket);
-  GAUDI_CHECK(cfg.ctx_bucket >= 1,
-              "--ctx-bucket expects a positive token count");
-  cfg.block_tokens = args.get_int("block-tokens", cfg.block_tokens);
-  GAUDI_CHECK(cfg.block_tokens >= 1,
-              "--block-tokens expects a positive token count");
-  const std::int64_t kv_mb = args.get_int("kv-mb", 64);
-  GAUDI_CHECK(kv_mb >= 1, "--kv-mb expects a positive MiB count");
-  cfg.kv_budget_bytes = static_cast<std::size_t>(kv_mb) * 1024 * 1024;
-  *kv_mb_out = kv_mb;
-  cfg.timing_only = parse_timing_only(args);
-
-  cfg.retry_max =
-      static_cast<std::int32_t>(args.get_int("retry-max", cfg.retry_max));
-  GAUDI_CHECK(cfg.retry_max >= 0, "--retry-max expects a non-negative count");
-  const std::int64_t backoff_ms =
-      args.get_int("retry-backoff-ms",
-                   static_cast<std::int64_t>(cfg.retry_backoff.ms()));
-  GAUDI_CHECK(backoff_ms >= 0, "--retry-backoff-ms expects a non-negative time");
-  cfg.retry_backoff = sim::SimTime::from_ms(static_cast<double>(backoff_ms));
-  const std::int64_t backoff_max_ms = args.get_int(
-      "retry-backoff-max-ms",
-      static_cast<std::int64_t>(cfg.retry_backoff_max.ms()));
-  GAUDI_CHECK(backoff_max_ms > 0,
-              "--retry-backoff-max-ms expects a positive time");
-  cfg.retry_backoff_max =
-      sim::SimTime::from_ms(static_cast<double>(backoff_max_ms));
-  const std::int64_t watchdog_ms = args.get_int("watchdog-ms", 0);
-  GAUDI_CHECK(watchdog_ms >= 0, "--watchdog-ms expects a non-negative time");
-  if (watchdog_ms > 0) {
-    cfg.watchdog = sim::SimTime::from_ms(static_cast<double>(watchdog_ms));
-  }
-  cfg.shed_queue_depth = args.get_int("shed-queue-depth", 0);
-  GAUDI_CHECK(cfg.shed_queue_depth >= 0,
-              "--shed-queue-depth expects a non-negative depth");
-  cfg.shed_min_free_blocks = args.get_int("shed-free-blocks", 0);
-  GAUDI_CHECK(cfg.shed_min_free_blocks >= 0,
-              "--shed-free-blocks expects a non-negative count");
-  return cfg;
-}
-
 int cmd_serve(ArgParser& args, std::ostream& out) {
   const ServeStreamArgs s = parse_serve_stream(args);
-  std::int64_t kv_mb = 0;
-  serve::ServeConfig cfg = parse_serve_scheduler_flags(args, &kv_mb);
+  serve::ServeConfig cfg = parse_serve_scheduler_flags(args);
   // Fault tolerance: the serving batch runs on one simulated chip, so MTBF
   // is mean iterations between failures.
   cfg.faults = parse_fault_injector(args, /*chips=*/1);
@@ -658,7 +726,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
 
   out << "serve: " << serve_stream_banner(s, stream.size()) << ", batch "
       << cfg.max_batch << ", prefill chunk " << cfg.prefill_chunk << ", kv "
-      << kv_mb << " MiB in " << cfg.block_tokens << "-token blocks\n";
+      << (cfg.kv_budget_bytes >> 20) << " MiB in " << cfg.block_tokens << "-token blocks\n";
 
   graph::Runtime rt(sim::ChipConfig::hls1());
   serve::ContinuousBatchScheduler sched(rt, cfg);
@@ -669,93 +737,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
 
 int cmd_serve_cluster(ArgParser& args, std::ostream& out) {
   const ServeStreamArgs s = parse_serve_stream(args);
-  serve::ClusterConfig ccfg;
-  std::int64_t kv_mb = 0;
-  ccfg.replica = parse_serve_scheduler_flags(args, &kv_mb);
-  ccfg.replicas = args.get_int("replicas", ccfg.replicas);
-  GAUDI_CHECK(ccfg.replicas >= 1, "--replicas expects a positive count");
-  ccfg.policy =
-      serve::parse_load_balance_policy(args.get("lb", "round-robin"));
-  const std::int64_t heartbeat_ms =
-      args.get_int("heartbeat-ms",
-                   static_cast<std::int64_t>(ccfg.heartbeat_interval.ms()));
-  GAUDI_CHECK(heartbeat_ms >= 0, "--heartbeat-ms expects a non-negative time");
-  ccfg.heartbeat_interval =
-      sim::SimTime::from_ms(static_cast<double>(heartbeat_ms));
-  const std::int64_t suspicion_ms =
-      args.get_int("suspicion-ms",
-                   static_cast<std::int64_t>(ccfg.suspicion_timeout.ms()));
-  GAUDI_CHECK(suspicion_ms > 0, "--suspicion-ms expects a positive time");
-  ccfg.suspicion_timeout =
-      sim::SimTime::from_ms(static_cast<double>(suspicion_ms));
-  const std::int64_t hedge_ms = args.get_int("hedge-ms", 0);
-  GAUDI_CHECK(hedge_ms >= 0, "--hedge-ms expects a non-negative time");
-  ccfg.hedge_budget = sim::SimTime::from_ms(static_cast<double>(hedge_ms));
-  ccfg.breaker_enabled = !args.has("no-breaker");
-  ccfg.breaker_window = args.get_int("breaker-window", ccfg.breaker_window);
-  GAUDI_CHECK(ccfg.breaker_window >= 1,
-              "--breaker-window expects a positive count");
-  ccfg.breaker_min_samples =
-      args.get_int("breaker-min", ccfg.breaker_min_samples);
-  GAUDI_CHECK(ccfg.breaker_min_samples >= 1,
-              "--breaker-min expects a positive count");
-  ccfg.breaker_threshold = parse_f64(
-      args.get("breaker-threshold", "0.5"), "option --breaker-threshold");
-  GAUDI_CHECK(ccfg.breaker_threshold > 0.0 && ccfg.breaker_threshold <= 1.0 &&
-                  std::isfinite(ccfg.breaker_threshold),
-              "--breaker-threshold expects a fraction in (0, 1]");
-  const std::int64_t cooldown_ms =
-      args.get_int("breaker-cooldown-ms",
-                   static_cast<std::int64_t>(ccfg.breaker_cooldown.ms()));
-  GAUDI_CHECK(cooldown_ms > 0,
-              "--breaker-cooldown-ms expects a positive time");
-  ccfg.breaker_cooldown =
-      sim::SimTime::from_ms(static_cast<double>(cooldown_ms));
-
-  // Fault model: one cluster seed; the router derives a decorrelated
-  // injector per replica, each chip seeing MTBF iterations between faults.
-  const bool faults_on = args.has("faults");
-  ccfg.fault_seed =
-      static_cast<std::uint64_t>(args.get_int("fault-seed", 0xFA517));
-  const std::int64_t mtbf = args.get_int("mtbf", 0);
-  GAUDI_CHECK(mtbf >= 0, "--mtbf expects a positive step count");
-  if (faults_on) {
-    ccfg.fault_profile =
-        mtbf > 0 ? sim::FaultProfile::from_mtbf_steps(
-                       static_cast<double>(mtbf), /*chips=*/1)
-                 : sim::FaultProfile::stress();
-  }
-
-  // Live migration & draining (serve/migration.*).
-  ccfg.migration.enabled = args.has("migrate");
-  ccfg.migration.chunk_blocks =
-      args.get_int("migration-chunk-blocks", ccfg.migration.chunk_blocks);
-  GAUDI_CHECK(ccfg.migration.chunk_blocks >= 1,
-              "--migration-chunk-blocks expects a positive block count");
-  ccfg.drain_replica = args.get_int("drain-replica", ccfg.drain_replica);
-  if (args.has("drain-replica")) {
-    GAUDI_CHECK(ccfg.replicas >= 2,
-                "--drain-replica needs at least two replicas");
-    GAUDI_CHECK(ccfg.drain_replica >= 0 && ccfg.drain_replica < ccfg.replicas,
-                "--drain-replica expects an index below --replicas");
-  }
-  const std::int64_t drain_at_ms = args.get_int("drain-at-ms", 0);
-  if (args.has("drain-at-ms")) {
-    GAUDI_CHECK(ccfg.drain_replica >= 0,
-                "--drain-at-ms requires --drain-replica");
-  }
-  GAUDI_CHECK(drain_at_ms >= 0, "--drain-at-ms expects a non-negative time");
-  ccfg.drain_at = sim::SimTime::from_ms(static_cast<double>(drain_at_ms));
-  const std::int64_t health_window_ms =
-      args.get_int("health-window-ms",
-                   static_cast<std::int64_t>(ccfg.health_window.ms()));
-  GAUDI_CHECK(health_window_ms > 0,
-              "--health-window-ms expects a positive time");
-  ccfg.health_window =
-      sim::SimTime::from_ms(static_cast<double>(health_window_ms));
-  ccfg.degraded_after = args.get_int("degraded-after", ccfg.degraded_after);
-  GAUDI_CHECK(ccfg.degraded_after >= 1,
-              "--degraded-after expects a positive count");
+  const serve::ClusterConfig ccfg = parse_cluster_flags(args);
   check_unused(args);
 
   const std::vector<serve::Request> stream = build_serve_stream(s);
@@ -763,7 +745,8 @@ int cmd_serve_cluster(ArgParser& args, std::ostream& out) {
   out << "serve-cluster: " << serve_stream_banner(s, stream.size()) << " x "
       << ccfg.replicas << " replicas ("
       << serve::load_balance_policy_name(ccfg.policy) << "), batch "
-      << ccfg.replica.max_batch << ", kv " << kv_mb << " MiB/replica\n";
+      << ccfg.replica.max_batch << ", kv "
+      << (ccfg.replica.kv_budget_bytes >> 20) << " MiB/replica\n";
 
   graph::Runtime rt(sim::ChipConfig::hls1());
   serve::ClusterRouter router(rt, ccfg);
@@ -775,11 +758,10 @@ int cmd_serve_cluster(ArgParser& args, std::ostream& out) {
 int cmd_batch(const std::string& config_path, ArgParser& args,
               std::ostream& out) {
   const std::string csv_path = args.get("csv", "");
-  const std::int64_t threads = args.get_int("threads", 0);
-  GAUDI_CHECK(threads >= 0, "--threads expects a non-negative count");
+  const std::int64_t threads = get_count(args, "threads", 0, 0);
   BatchOptions bopts;
   bopts.threads = static_cast<std::size_t>(threads);
-  bopts.timing_only = parse_timing_only(args);
+  bopts.timing_only = args.get_bool("timing-only");
   check_unused(args);
 
   const BatchConfig cfg = load_batch_config(config_path);
@@ -800,20 +782,8 @@ int cmd_batch(const std::string& config_path, ArgParser& args,
 }  // namespace
 
 std::int64_t parse_i64(const std::string& text, const std::string& what) {
-  std::size_t pos = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(text, &pos);
-  } catch (const std::exception&) {
-    throw sim::InvalidArgument(what + " expects an integer, got '" + text +
-                               "'");
-  }
-  // stoll stops at the first non-digit; "12abc" must not silently become 12.
-  if (pos != text.size()) {
-    throw sim::InvalidArgument(what + " expects an integer, got '" + text +
-                               "' (trailing '" + text.substr(pos) + "')");
-  }
-  return value;
+  return parse_whole(text, what, "an integer",
+                     [](const auto& t, auto* pos) { return std::stoll(t, pos); });
 }
 
 ArgParser::ArgParser(std::vector<std::string> args) {
@@ -821,34 +791,52 @@ ArgParser::ArgParser(std::vector<std::string> args) {
     const std::string& a = args[i];
     GAUDI_CHECK(a.size() > 2 && a.rfind("--", 0) == 0,
                 "expected an option starting with --, got '" + a + "'");
-    const std::string key = a.substr(2);
-    if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
-      kv_[key] = args[++i];
-    } else {
-      kv_[key] = "";  // boolean flag
-    }
+    const bool has_value =
+        i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0;
+    add(a.substr(2), has_value ? args[++i] : "");  // "" = bare flag
   }
 }
 
-bool ArgParser::has(const std::string& key) const {
+ArgParser ArgParser::from_pairs(
+    const std::vector<std::pair<std::string, std::string>>& options) {
+  ArgParser p;
+  for (const auto& [key, value] : options) p.add(key, value);
+  return p;
+}
+
+void ArgParser::add(const std::string& key, std::string value) {
+  if (!kv_.emplace(key, std::move(value)).second) {
+    throw sim::InvalidArgument("option --" + key + " is given more than once");
+  }
+}
+
+const std::string* ArgParser::find(const std::string& key) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return false;
+  if (it == kv_.end()) return nullptr;
   read_[key] = true;
-  return true;
+  return &it->second;
+}
+
+bool ArgParser::has(const std::string& key) const {
+  return find(key) != nullptr;
 }
 
 std::string ArgParser::get(const std::string& key, const std::string& fallback) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  read_[key] = true;
-  return it->second;
+  const std::string* v = find(key);
+  return v ? *v : fallback;
 }
 
 std::int64_t ArgParser::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  read_[key] = true;
-  return parse_i64(it->second, "option --" + key);
+  const std::string* v = find(key);
+  return v ? parse_i64(*v, "option --" + key) : fallback;
+}
+
+std::optional<bool> ArgParser::get_bool(const std::string& key) const {
+  const std::string* v = find(key);
+  if (v == nullptr) return std::nullopt;
+  if (v->empty() || *v == "on" || *v == "1") return true;
+  if (*v == "off" || *v == "0") return false;
+  throw sim::InvalidArgument("--" + key + " expects on|off, got '" + *v + "'");
 }
 
 std::vector<std::string> ArgParser::unused() const {
@@ -875,11 +863,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out) {
       return cmd_batch(args[2], bparser, out);
     }
     ArgParser parser(std::vector<std::string>(args.begin() + 2, args.end()));
-    if (command == "op-mapping") {
-      const auto unused = parser.unused();
-      GAUDI_CHECK(unused.empty(), "op-mapping takes no options");
-      return cmd_op_mapping(out);
-    }
+    if (command == "op-mapping") return cmd_op_mapping(parser, out);
     if (command == "mme-vs-tpc") return cmd_mme_vs_tpc(parser, out);
     if (command == "profile-layer") return cmd_profile_layer(parser, out);
     if (command == "profile-model") return cmd_profile_model(parser, out);

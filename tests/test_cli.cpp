@@ -1,6 +1,7 @@
 // CLI tests: the option parser's contract and end-to-end command dispatch.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "core/cli.hpp"
@@ -210,6 +211,81 @@ TEST(Cli, TrainGuardedSdcRunIsCaughtAndDeterministic) {
   EXPECT_EQ(out, again);
   EXPECT_EQ(run({"train", "--sdc-rate", "1.5"}, &out), 1);
   EXPECT_EQ(run({"train", "--sdc-rate", "lots"}, &out), 1);
+}
+
+TEST(ArgParser, BooleanSpellings) {
+  ArgParser p({"--a", "--b", "on", "--c", "1", "--d", "off", "--e", "0",
+               "--f", "yes"});
+  EXPECT_EQ(p.get_bool("a"), true);  // bare flag
+  EXPECT_EQ(p.get_bool("b"), true);
+  EXPECT_EQ(p.get_bool("c"), true);
+  EXPECT_EQ(p.get_bool("d"), false);
+  EXPECT_EQ(p.get_bool("e"), false);
+  EXPECT_EQ(p.get_bool("absent"), std::nullopt);
+  try {
+    (void)p.get_bool("f");
+    ADD_FAILURE() << "--f yes was accepted";
+  } catch (const sim::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--f"), std::string::npos);
+  }
+}
+
+TEST(ArgParser, RejectsARepeatedOptionByName) {
+  EXPECT_THROW(ArgParser({"--rate", "8", "--rate", "16"}),
+               sim::InvalidArgument);
+  EXPECT_THROW((void)ArgParser::from_pairs({{"rate", "8"}, {"rate", "16"}}),
+               sim::InvalidArgument);
+  std::string out;
+  EXPECT_EQ(run({"serve", "--rate", "8", "--rate", "16"}, &out), 1);
+  EXPECT_NE(out.find("--rate is given more than once"), std::string::npos)
+      << out;
+}
+
+// A tiny-model, three-replica cluster run under `extra` flags.
+std::string tiny_cluster(std::initializer_list<const char*> extra) {
+  std::vector<std::string> v = {
+      "gaudisim_cli", "serve-cluster", "--model",      "tiny",
+      "--requests",   "12",            "--rate",       "60",
+      "--prompt-min", "2",             "--prompt-max", "6",
+      "--output-min", "2",             "--output-max", "4",
+      "--max-batch",  "2",             "--prefill-chunk", "4",
+      "--ctx-bucket", "4",             "--block-tokens", "4",
+      "--kv-mb",      "1",             "--replicas",   "3",
+      "--timing-only", "on"};
+  v.insert(v.end(), extra.begin(), extra.end());
+  std::ostringstream os;
+  EXPECT_EQ(run_cli(v, os), 0) << os.str();
+  return os.str();
+}
+
+// A boolean flag given 0 or off is off; it used to count as given, and so
+// switched the feature on.
+TEST(Cli, FaultsZeroInjectsNoFaults) {
+  const std::string plain = tiny_cluster({});
+  EXPECT_EQ(tiny_cluster({"--faults", "0"}), plain);
+  EXPECT_EQ(tiny_cluster({"--faults", "off"}), plain);
+  EXPECT_NE(tiny_cluster({"--faults", "on"}), plain);
+  EXPECT_EQ(tiny_cluster({"--faults", "1"}), tiny_cluster({"--faults"}));
+}
+
+TEST(Cli, MigrateZeroLeavesMigrationOff) {
+  const std::string plain = tiny_cluster({"--drain-replica", "0"});
+  EXPECT_EQ(tiny_cluster({"--drain-replica", "0", "--migrate", "0"}), plain);
+  EXPECT_NE(tiny_cluster({"--drain-replica", "0", "--migrate", "on"}), plain);
+}
+
+TEST(Cli, BreakerTakesOnOffAndNoBreakerIsGone) {
+  const std::initializer_list<const char*> faults = {"--faults", "--mtbf",
+                                                     "5"};
+  const std::string on = tiny_cluster(faults);
+  EXPECT_EQ(tiny_cluster({"--faults", "--mtbf", "5", "--breaker", "on"}), on);
+  EXPECT_EQ(tiny_cluster({"--faults", "--mtbf", "5", "--breaker", "1"}), on);
+  EXPECT_EQ(tiny_cluster({"--faults", "--mtbf", "5", "--breaker", "0"}),
+            tiny_cluster({"--faults", "--mtbf", "5", "--breaker", "off"}));
+  std::string out;
+  EXPECT_EQ(run({"serve-cluster", "--no-breaker", "0"}, &out), 1);
+  EXPECT_NE(out.find("unknown option: --no-breaker"), std::string::npos)
+      << out;
 }
 
 }  // namespace
